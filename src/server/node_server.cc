@@ -1,370 +1,262 @@
 #include "server/node_server.h"
 
+#include <cstddef>
+
+#include "obs/metrics.h"
 #include "segment/layout.h"
-#include "util/logging.h"
 
 namespace bess {
 
+// The core exists before the upstream connects: the upstream's callback
+// thread may ask about local lock holders as soon as it runs. A node request
+// either hits the cache or waits on the one upstream session, which the
+// owner runs serially: two workers keep hits flowing past an upstream wait,
+// and more only add runnable threads beside the node's own applications (on
+// a 4-vCPU host node_fetch ran slower with 4 workers, and with 1).
+NodeServer::NodeServer(Options options)
+    : options_(std::move(options)),
+      core_(SessionCore::Options{.socket_path = options_.socket_path,
+                                 .worker_threads = 2},
+            this) {}
+
 Result<std::unique_ptr<NodeServer>> NodeServer::Start(Options options) {
-  auto node = std::unique_ptr<NodeServer>(new NodeServer());
-  node->options_ = std::move(options);
-  BESS_RETURN_IF_ERROR(node->Init());
+  auto node = std::unique_ptr<NodeServer>(new NodeServer(std::move(options)));
+
+  // Node page cache: copy-in/copy-out frames on the heap, LRU-2 so a
+  // one-touch scan through the node cannot flush the working set.
+  const uint32_t frames =
+      node->options_.cache_pages == 0 ? 1 : node->options_.cache_pages;
+  node->cache_placement_.reset(new HeapPlacement(frames));
+  FrameTable::Options copts;
+  copts.frame_count = frames;
+  copts.policy = "lru2";
+  node->page_cache_.reset(new FrameTable(copts, node->cache_placement_.get(),
+                                         /*io=*/nullptr));
+  BESS_RETURN_IF_ERROR(node->page_cache_->Init());
+
+  // The node server is itself a client of the owning server (§3).
+  RemoteClient::Options uopts;
+  uopts.server_path = node->options_.upstream_path;
+  BESS_ASSIGN_OR_RETURN(node->upstream_,
+                        RemoteClient::Connect(uopts, node.get()));
+  BESS_RETURN_IF_ERROR(node->core_.Start());
   return node;
 }
 
 NodeServer::~NodeServer() { Stop(); }
 
-Status NodeServer::Init() {
-  // Node page cache: copy-in/copy-out frames on the heap, LRU-2 so a
-  // one-touch scan through the node cannot flush the working set.
-  const uint32_t frames = options_.cache_pages == 0 ? 1 : options_.cache_pages;
-  cache_placement_.reset(new HeapPlacement(frames));
-  FrameTable::Options copts;
-  copts.frame_count = frames;
-  copts.policy = "lru2";
-  page_cache_.reset(
-      new FrameTable(copts, cache_placement_.get(), /*io=*/nullptr));
-  BESS_RETURN_IF_ERROR(page_cache_->Init());
-
-  // Upstream connection (the node server is itself a client, §3).
-  BESS_ASSIGN_OR_RETURN(upstream_, MsgSocket::Connect(options_.upstream_path));
-  upstream_.set_simulated_latency_us(options_.upstream_latency_us);
-  BESS_RETURN_IF_ERROR(upstream_.Send(kMsgHello, ""));
-  BESS_ASSIGN_OR_RETURN(Message hello, upstream_.Recv());
-  if (hello.type != kMsgOk || hello.payload.size() != 8) {
-    return Status::Protocol("bad upstream hello");
-  }
-  upstream_session_ = DecodeFixed64(hello.payload.data());
-
-  BESS_ASSIGN_OR_RETURN(upstream_callback_,
-                        MsgSocket::Connect(options_.upstream_path));
-  std::string bind;
-  PutFixed64(&bind, upstream_session_);
-  BESS_RETURN_IF_ERROR(upstream_callback_.Send(kMsgHelloCallback, bind));
-
-  BESS_ASSIGN_OR_RETURN(listener_, MsgListener::Listen(options_.socket_path));
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  callback_thread_ = std::thread([this] { UpstreamCallbackLoop(); });
-  return Status::OK();
-}
-
 void NodeServer::Stop() {
-  if (!running_.exchange(false)) return;
-  listener_.Shutdown();
-  (void)upstream_.Send(kMsgGoodbye, "");
-  upstream_callback_.Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (callback_thread_.joinable()) callback_thread_.join();
-  listener_.Close();
-  upstream_callback_.Close();
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    for (auto& s : sessions_) s->main.Shutdown();
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    threads.swap(session_threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
-}
-
-Status NodeServer::UpstreamCall(uint16_t type, const std::string& payload,
-                                Message* reply) {
-  std::lock_guard<std::mutex> guard(upstream_mutex_);
-  BESS_RETURN_IF_ERROR(upstream_.Send(type, payload));
-  BESS_ASSIGN_OR_RETURN(*reply, upstream_.Recv());
-  if (reply->type == kMsgError) return DecodeStatusReply(*reply);
-  return Status::OK();
-}
-
-void NodeServer::AcceptLoop() {
-  while (running_.load()) {
-    auto sock = listener_.AcceptTimeout(100);
-    if (!sock.ok()) {
-      if (sock.status().IsBusy()) continue;
-      break;
-    }
-    auto first = sock->Recv();
-    if (!first.ok()) continue;
-    if (first->type == kMsgHello) {
-      auto session = std::make_shared<LocalSession>();
-      session->id = next_session_.fetch_add(1);
-      session->main = std::move(*sock);
-      std::string reply;
-      PutFixed64(&reply, session->id);
-      if (!session->main.Send(kMsgOk, reply).ok()) continue;
-      std::lock_guard<std::mutex> guard(mutex_);
-      sessions_.push_back(session);
-      session_threads_.emplace_back(
-          [this, session] { ServeSession(session); });
-    }
-    // Local callback channels are accepted but unused: the node server
-    // resolves local conflicts by blocking (its lock manager), and answers
-    // upstream callbacks itself on the applications' behalf (§3).
-  }
-}
-
-void NodeServer::ServeSession(std::shared_ptr<LocalSession> session) {
-  for (;;) {
-    auto msg = session->main.Recv();
-    if (!msg.ok()) break;
-    if (msg->type == kMsgGoodbye) break;
-    uint16_t reply_type = kMsgOk;
-    std::string reply;
-    Status s = HandleRequest(*session, *msg, &reply, &reply_type);
-    if (!s.ok()) EncodeStatus(s, &reply_type, &reply);
-    if (!session->main.Send(reply_type, reply, msg->req_id).ok()) break;
-  }
-  local_locks_.ReleaseAll(session->id);
-}
-
-bool NodeServer::CacheGet(uint64_t page_key, std::string* bytes) {
-  bytes->resize(kPageSize);
-  if (!page_cache_->Get(page_key, bytes->data())) return false;
-  std::lock_guard<std::mutex> guard(mutex_);
-  stats_.cache_hits++;
-  return true;
-}
-
-void NodeServer::CachePut(uint64_t page_key, std::string bytes) {
-  if (bytes.size() != kPageSize) return;
-  (void)page_cache_->Put(page_key, bytes.data());
-}
-
-void NodeServer::CacheInvalidateAll() {
-  (void)page_cache_->Clear(/*flush=*/false);
-  std::lock_guard<std::mutex> guard(mutex_);
-  stats_.cache_invalidations++;
-}
-
-Status NodeServer::EnsureUpstreamLock(uint64_t key, LockMode mode,
-                                      int timeout_ms) {
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto it = node_locks_.find(key);
-    if (it != node_locks_.end() && LockJoin(it->second, mode) == it->second) {
-      stats_.lock_cache_hits++;
-      return Status::OK();
-    }
-  }
-  std::string payload;
-  PutFixed64(&payload, key);
-  payload.push_back(static_cast<char>(mode));
-  PutFixed32(&payload, static_cast<uint32_t>(timeout_ms));
-  Message reply;
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    stats_.locks_forwarded++;
-  }
-  BESS_RETURN_IF_ERROR(UpstreamCall(kMsgLock, payload, &reply));
-  std::lock_guard<std::mutex> guard(mutex_);
-  auto it = node_locks_.find(key);
-  node_locks_[key] =
-      it == node_locks_.end() ? mode : LockJoin(it->second, mode);
-  return Status::OK();
-}
-
-Status NodeServer::HandleRequest(LocalSession& session, const Message& msg,
-                                 std::string* reply, uint16_t* reply_type) {
-  *reply_type = kMsgOk;
-  reply->clear();
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    stats_.local_requests++;
-  }
-  Decoder dec(msg.payload);
-
-  switch (msg.type) {
-    case kMsgFetchPages: {
-      const uint16_t db = dec.GetFixed16();
-      const uint16_t area = dec.GetFixed16();
-      const PageId first = dec.GetFixed32();
-      const uint32_t count = dec.GetFixed32();
-      if (!dec.ok() || count == 0) return Status::Protocol("bad fetch");
-      reply->resize(static_cast<size_t>(count) * kPageSize);
-      // Serve each page from the node cache where possible; fetch the rest
-      // upstream (one request per contiguous missing run would be an easy
-      // optimization; we fetch the full run on any miss for simplicity).
-      bool all_hit = true;
-      for (uint32_t i = 0; i < count; ++i) {
-        std::string bytes;
-        if (!CacheGet(PageAddr{db, area, first + i}.Pack(), &bytes)) {
-          all_hit = false;
-          break;
-        }
-        memcpy(reply->data() + static_cast<size_t>(i) * kPageSize,
-               bytes.data(), kPageSize);
-      }
-      if (all_hit) return Status::OK();
-      Message upstream_reply;
-      BESS_RETURN_IF_ERROR(UpstreamCall(kMsgFetchPages, msg.payload,
-                                        &upstream_reply));
-      {
-        std::lock_guard<std::mutex> guard(mutex_);
-        stats_.upstream_fetches++;
-      }
-      if (upstream_reply.payload.size() != reply->size()) {
-        return Status::Protocol("short upstream fetch");
-      }
-      *reply = upstream_reply.payload;
-      for (uint32_t i = 0; i < count; ++i) {
-        CachePut(PageAddr{db, area, first + i}.Pack(),
-                 reply->substr(static_cast<size_t>(i) * kPageSize, kPageSize));
-      }
-      return Status::OK();
-    }
-
-    case kMsgFetchSlotted: {
-      const SegmentId id = SegmentId::Unpack(dec.GetFixed64());
-      Message upstream_reply;
-      // Cached head page tells us the page count without going upstream.
-      std::string head;
-      if (CacheGet(PageAddr{id.db, id.area, id.first_page}.Pack(), &head)) {
-        const auto* header =
-            reinterpret_cast<const SlottedHeader*>(head.data());
-        const uint32_t pages = header->page_count;
-        if (pages >= 1 && pages <= kMaxSlottedPages) {
-          std::string out;
-          PutFixed32(&out, pages);
-          out += head;
-          bool ok = true;
-          for (uint32_t i = 1; i < pages && ok; ++i) {
-            std::string bytes;
-            ok = CacheGet(PageAddr{id.db, id.area, id.first_page + i}.Pack(),
-                          &bytes);
-            if (ok) out += bytes;
-          }
-          if (ok) {
-            *reply = std::move(out);
-            return Status::OK();
-          }
-        }
-      }
-      BESS_RETURN_IF_ERROR(UpstreamCall(kMsgFetchSlotted, msg.payload,
-                                        &upstream_reply));
-      {
-        std::lock_guard<std::mutex> guard(mutex_);
-        stats_.upstream_fetches++;
-      }
-      Decoder rdec(upstream_reply.payload);
-      const uint32_t pages = rdec.GetFixed32();
-      for (uint32_t i = 0; i < pages; ++i) {
-        Slice bytes = rdec.GetBytes(kPageSize);
-        if (!rdec.ok()) break;
-        CachePut(PageAddr{id.db, id.area, id.first_page + i}.Pack(),
-                 bytes.ToString());
-      }
-      *reply = upstream_reply.payload;
-      return Status::OK();
-    }
-
-    case kMsgLock: {
-      const uint64_t key = dec.GetFixed64();
-      const LockMode mode = static_cast<LockMode>(dec.GetBytes(1).data()[0]);
-      const int timeout = static_cast<int>(dec.GetFixed32());
-      const int effective =
-          timeout > 0 ? timeout : options_.lock_timeout_ms;
-      // Local conflicts first (applications on this node), then make sure
-      // the node holds a covering lock from the owner server.
-      BESS_RETURN_IF_ERROR(
-          local_locks_.Acquire(session.id, key, mode, effective));
-      Status s = EnsureUpstreamLock(key, mode, effective);
-      if (!s.ok()) {
-        (void)local_locks_.Release(session.id, key);
-        return s;
-      }
-      return Status::OK();
-    }
-
-    case kMsgReleaseLock: {
-      const uint64_t key = dec.GetFixed64();
-      return local_locks_.Release(session.id, key);
-      // The node-level lock stays cached until an upstream callback.
-    }
-
-    case kMsgReleaseAll: {
-      local_locks_.ReleaseAll(session.id);
-      return Status::OK();
-    }
-
-    case kMsgCommit: {
-      Message upstream_reply;
-      BESS_RETURN_IF_ERROR(UpstreamCall(kMsgCommit, msg.payload,
-                                        &upstream_reply));
-      // Write-through: refresh the node cache so the other local
-      // applications see the committed state immediately. The payload was
-      // forwarded verbatim (its ctid prefix keeps upstream dedupe intact);
-      // skip those 8 bytes to reach the page set.
-      if (msg.payload.size() < 8) return Status::OK();
-      auto pages = DecodePageSet(
-          Slice(msg.payload.data() + 8, msg.payload.size() - 8));
-      if (pages.ok()) {
-        for (const PageImage& img : *pages) {
-          CachePut(PageAddr{img.db, img.area, img.page}.Pack(), img.bytes);
-        }
-      }
-      return Status::OK();
-    }
-
-    // Everything else is a pure pass-through to the owning server.
-    case kMsgAllocSegment:
-    case kMsgFreeSegment:
-    case kMsgPrepare:
-    case kMsgCommitPrepared:
-    case kMsgAbortPrepared:
-    case kMsgCreateFile:
-    case kMsgFindFile:
-    case kMsgRegisterType:
-    case kMsgFetchTypes:
-    case kMsgNewObjectSegment:
-    case kMsgGetRoot:
-    case kMsgSetRoot:
-    case kMsgRemoveRoot: {
-      Message upstream_reply;
-      BESS_RETURN_IF_ERROR(UpstreamCall(msg.type, msg.payload,
-                                        &upstream_reply));
-      *reply = upstream_reply.payload;
-      return Status::OK();
-    }
-
-    default:
-      return Status::Protocol("unknown request " + std::to_string(msg.type));
-  }
-}
-
-void NodeServer::UpstreamCallbackLoop() {
-  while (running_.load()) {
-    auto msg = upstream_callback_.Recv();
-    if (!msg.ok()) break;
-    if (msg->type != kMsgCallback || msg->payload.size() < 9) continue;
-    const uint64_t key = DecodeFixed64(msg->payload.data());
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      stats_.upstream_callbacks++;
-    }
-    // Deny while any local application still holds the lock; otherwise
-    // drop the cached pages and give the lock back (§3).
-    const bool in_use = !local_locks_.Holders(key).empty();
-    if (in_use) {
-      (void)upstream_callback_.Send(kMsgCallbackDenied, "");
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      node_locks_.erase(key);
-    }
-    CacheInvalidateAll();  // coarse but safe: stale data cannot be served
-    (void)upstream_callback_.Send(kMsgCallbackReleased, "");
-  }
+  core_.Stop();
+  upstream_.reset();  // says goodbye; joins its reader and callback threads
 }
 
 NodeServer::Stats NodeServer::stats() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return stats_;
+  Stats out;
+  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+  out.upstream_fetches = upstream_fetches_.load(std::memory_order_relaxed);
+  return out;
+}
+
+// ---- requests -------------------------------------------------------------
+
+Status NodeServer::Handle(Session& session, const Message& msg,
+                          std::string* reply, uint16_t*) {
+  BESS_COUNT("node.request");
+  switch (msg.type) {
+    case kMsgPing:  // liveness of the node itself
+      reply->assign(msg.payload);
+      return Status::OK();
+    case kMsgFetchPages:
+      return FetchPages(msg, reply);
+    case kMsgFetchSlotted:
+      return FetchSlotted(msg, reply);
+    case kMsgReleaseLock: {
+      // The node-level lock stays cached until an upstream callback.
+      Decoder dec(msg.payload);
+      return core_.locks().Release(session.id, dec.GetFixed64());
+    }
+    case kMsgReleaseAll:
+      core_.locks().ReleaseAll(session.id);
+      return Status::OK();
+    case kMsgCommit:
+      return Commit(msg);
+    default:
+      return Forward(msg, reply);
+  }
+}
+
+Status NodeServer::FinishLock(Session&, const SessionCore::LockWait& w,
+                              Status waited) {
+  BESS_COUNT("node.request");
+  if (!waited.ok()) return waited;
+  // The local grant is in; the node must also hold a covering lock from
+  // the owner. Looking it up under mu_ after the grant is what makes a
+  // callback's check-and-release atomic against us.
+  uint64_t epoch;
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    auto it = node_locks_.find(w.key);
+    if (it != node_locks_.end() && LockJoin(it->second, w.mode) == it->second) {
+      BESS_COUNT("node.lock.cache_hit");
+      return Status::OK();
+    }
+    epoch = epoch_.load();
+  }
+  BESS_COUNT("node.lock.forward");
+  std::string ignored;
+  BESS_RETURN_IF_ERROR(Forward(w.request, &ignored));
+  // Cache the grant unless coverage was given up while it was in flight —
+  // it may have been granted to the lost upstream session.
+  std::lock_guard<std::mutex> guard(mu_);
+  if (epoch == epoch_) {
+    auto [it, fresh] = node_locks_.try_emplace(w.key, w.mode);
+    if (!fresh) it->second = LockJoin(it->second, w.mode);
+  }
+  return Status::OK();
+}
+
+Status NodeServer::FetchPages(const Message& msg, std::string* reply) {
+  Decoder dec(msg.payload);
+  const uint16_t db = dec.GetFixed16();
+  const uint16_t area = dec.GetFixed16();
+  const PageId first = dec.GetFixed32();
+  const uint32_t count = dec.GetFixed32();
+  if (!dec.ok() || count == 0 || count > kPagesPerExtent) {
+    return Status::Protocol("bad fetch request");
+  }
+  // Serve the run from the node cache when all of it is there; otherwise
+  // fetch the whole run upstream.
+  reply->resize(static_cast<size_t>(count) * kPageSize);
+  if (CacheGet(db, area, first, count, reply->data())) return Status::OK();
+  const uint64_t epoch = epoch_.load();
+  upstream_fetches_.fetch_add(1, std::memory_order_relaxed);
+  BESS_COUNT("node.upstream.fetch");
+  std::string fetched;
+  BESS_RETURN_IF_ERROR(Forward(msg, &fetched));
+  if (fetched.size() != reply->size()) {
+    return Status::Protocol("short upstream fetch");
+  }
+  CacheFill(epoch, db, area, first, count, fetched.data());
+  *reply = std::move(fetched);
+  return Status::OK();
+}
+
+Status NodeServer::FetchSlotted(const Message& msg, std::string* reply) {
+  Decoder dec(msg.payload);
+  const SegmentId id = SegmentId::Unpack(dec.GetFixed64());
+  if (!dec.ok()) return Status::Protocol("bad slotted fetch request");
+  // A cached head page gives the page count without going upstream.
+  reply->resize(4 + kPageSize);
+  if (CacheGet(id.db, id.area, id.first_page, 1, reply->data() + 4)) {
+    const uint32_t pages = DecodeFixed32(reply->data() + 4 +
+                                         offsetof(SlottedHeader, page_count));
+    if (pages >= 1 && pages <= kMaxSlottedPages) {
+      reply->resize(4 + static_cast<size_t>(pages) * kPageSize);
+      if (CacheGet(id.db, id.area, id.first_page + 1, pages - 1,
+                   reply->data() + 4 + kPageSize)) {
+        EncodeFixed32(reply->data(), pages);
+        return Status::OK();
+      }
+    }
+  }
+  const uint64_t epoch = epoch_.load();
+  upstream_fetches_.fetch_add(1, std::memory_order_relaxed);
+  BESS_COUNT("node.upstream.fetch");
+  std::string fetched;
+  BESS_RETURN_IF_ERROR(Forward(msg, &fetched));
+  Decoder rdec(fetched);
+  const uint32_t pages = rdec.GetFixed32();
+  Slice bytes = rdec.GetBytes(static_cast<size_t>(pages) * kPageSize);
+  if (!rdec.ok() || pages == 0 || pages > kMaxSlottedPages) {
+    return Status::Protocol("bad upstream slotted fetch");
+  }
+  CacheFill(epoch, id.db, id.area, id.first_page, pages, bytes.data());
+  *reply = std::move(fetched);
+  return Status::OK();
+}
+
+Status NodeServer::Commit(const Message& msg) {
+  const uint64_t epoch = epoch_.load();
+  std::string ignored;
+  BESS_RETURN_IF_ERROR(Forward(msg, &ignored));
+  // Write-through: refresh the node cache so the other local applications
+  // see the committed state immediately. The payload was forwarded verbatim
+  // (its ctid prefix keeps upstream dedupe intact); skip those 8 bytes to
+  // reach the page set.
+  if (msg.payload.size() < 8) return Status::OK();
+  auto pages =
+      DecodePageSet(Slice(msg.payload.data() + 8, msg.payload.size() - 8));
+  if (!pages.ok()) return Status::OK();
+  for (const PageImage& img : *pages) {
+    if (img.bytes.size() != kPageSize) continue;
+    CacheFill(epoch, img.db, img.area, img.page, 1, img.bytes.data());
+  }
+  return Status::OK();
+}
+
+Status NodeServer::Forward(const Message& msg, std::string* reply) {
+  Message upstream_reply;
+  BESS_RETURN_IF_ERROR(upstream_->Call(msg.type, msg.payload, &upstream_reply));
+  *reply = std::move(upstream_reply.payload);
+  return Status::OK();
+}
+
+// ---- upstream callbacks -----------------------------------------------------
+
+Status NodeServer::OnCallback(uint64_t key, LockMode) {
+  BESS_COUNT("node.callback");
+  // Deny while any local application holds the lock, else give it back and
+  // drop the cached pages (§3) — one step under mu_ against FinishLock.
+  std::lock_guard<std::mutex> guard(mu_);
+  if (!core_.locks().Holders(key).empty()) {
+    return Status::Busy("lock in use by a local application");
+  }
+  node_locks_.erase(key);
+  DropPagesLocked();  // coarse but safe: stale data cannot be served
+  return Status::OK();
+}
+
+void NodeServer::OnSessionLost() {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    node_locks_.clear();
+    DropPagesLocked();
+  }
+  // The lost upstream session covered every local lock: end the local
+  // sessions as a direct client's ends with its server connection (the
+  // applications reconnect; a transaction in flight aborts).
+  core_.CloseAllSessions();
+}
+
+// ---- node page cache --------------------------------------------------------
+
+bool NodeServer::CacheGet(uint16_t db, uint16_t area, PageId first,
+                          uint32_t count, char* dst) {
+  for (uint32_t i = 0; i < count; ++i) {
+    if (!page_cache_->Get(PageAddr{db, area, first + i}.Pack(),
+                          dst + static_cast<size_t>(i) * kPageSize)) {
+      return false;
+    }
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    BESS_COUNT("node.cache.hit");
+  }
+  return true;
+}
+
+void NodeServer::CacheFill(uint64_t epoch, uint16_t db, uint16_t area,
+                           PageId first, uint32_t count, const char* src) {
+  std::lock_guard<std::mutex> guard(mu_);
+  if (epoch != epoch_) return;
+  for (uint32_t i = 0; i < count; ++i) {
+    (void)page_cache_->Put(PageAddr{db, area, first + i}.Pack(),
+                           src + static_cast<size_t>(i) * kPageSize);
+  }
+}
+
+void NodeServer::DropPagesLocked() {
+  epoch_++;
+  (void)page_cache_->Clear(/*flush=*/false);
+  BESS_COUNT("node.cache.invalidate");
 }
 
 }  // namespace bess

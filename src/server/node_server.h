@@ -8,10 +8,11 @@
 // data. In addition, the node server acquires locks on behalf of the local
 // applications and responds to callback requests issued by BeSS servers."
 //
-// Local applications speak the same protocol to the node server that they
-// would speak to a real server; page requests are served from the node
-// cache when possible, lock requests are resolved locally first and then
-// covered by a node-level lock cached from the upstream server.
+// So it is built (DESIGN.md §11): BessServer's SessionCore serves the local
+// applications with this class as its handler, and a RemoteClient is the
+// upstream. Pages come from the node cache when possible, local locks are
+// covered by node-level locks cached from the owner, and every request the
+// node does not handle itself is forwarded upstream.
 #ifndef BESS_SERVER_NODE_SERVER_H_
 #define BESS_SERVER_NODE_SERVER_H_
 
@@ -19,91 +20,90 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 #include "cache/frame_table.h"
-#include "os/socket.h"
-#include "server/protocol.h"
-#include "txn/lock_manager.h"
+#include "server/remote_client.h"
+#include "server/session_core.h"
 
 namespace bess {
 
-class NodeServer {
+class NodeServer : private SessionCore::Handler, private LockCallbackPolicy {
  public:
   struct Options {
     std::string socket_path;    ///< where local applications connect
     std::string upstream_path;  ///< the owning BeSS server
     uint32_t cache_pages = 4096;
-    uint32_t upstream_latency_us = 0;  ///< simulated WAN/LAN link cost
-    int lock_timeout_ms = kLockTimeoutMillis;
   };
 
+  /// The node's other counters are registry metrics (node.*).
   struct Stats {
-    uint64_t local_requests = 0;
-    uint64_t cache_hits = 0;
-    uint64_t upstream_fetches = 0;
-    uint64_t locks_forwarded = 0;
-    uint64_t lock_cache_hits = 0;   ///< node lock already covers the request
-    uint64_t upstream_callbacks = 0;
-    uint64_t cache_invalidations = 0;
+    uint64_t cache_hits = 0;        ///< pages served from the node cache
+    uint64_t upstream_fetches = 0;  ///< fetch requests sent upstream
   };
 
   static Result<std::unique_ptr<NodeServer>> Start(Options options);
-  ~NodeServer();
+  ~NodeServer() override;
 
+  /// Stops serving local applications, then says goodbye upstream.
   void Stop();
   Stats stats() const;
+  /// Local sessions currently registered.
+  size_t live_sessions() const { return core_.live_sessions(); }
 
  private:
-  struct LocalSession {
-    uint64_t id;
-    MsgSocket main;
-  };
+  using Session = SessionCore::Session;
 
-  NodeServer() = default;
+  explicit NodeServer(Options options);
 
-  Status Init();
-  void AcceptLoop();
-  void ServeSession(std::shared_ptr<LocalSession> session);
-  Status HandleRequest(LocalSession& session, const Message& msg,
-                       std::string* reply, uint16_t* reply_type);
-  Status Forward(const Message& msg, Message* reply);
-  Status UpstreamCall(uint16_t type, const std::string& payload,
-                      Message* reply);
-  Status EnsureUpstreamLock(uint64_t key, LockMode mode, int timeout_ms);
-  void UpstreamCallbackLoop();
+  // SessionCore::Handler: the node's half of the serving core.
+  Status Handle(Session& session, const Message& msg, std::string* reply,
+                uint16_t* reply_type) override;
+  /// Covers a local grant with a node-level lock from the owner server.
+  Status FinishLock(Session& session, const SessionCore::LockWait& w,
+                    Status waited) override;
+
+  // LockCallbackPolicy: the upstream's callbacks.
+  Status OnCallback(uint64_t key, LockMode wanted) override;
+  void OnSessionLost() override;
+
+  Status FetchPages(const Message& msg, std::string* reply);
+  Status FetchSlotted(const Message& msg, std::string* reply);
+  Status Commit(const Message& msg);
+  /// Forwards `msg` verbatim and returns the upstream reply's payload.
+  Status Forward(const Message& msg, std::string* reply);
 
   // Node page cache (write-through on local commits): a heap-placement
   // frame-core configuration with LRU-2 replacement and no backing I/O —
   // misses are resolved upstream by the caller, invalidated pages drop.
-  bool CacheGet(uint64_t page_key, std::string* bytes);
-  void CachePut(uint64_t page_key, std::string bytes);
-  void CacheInvalidateAll();
+  /// Copies `count` consecutive pages into `dst` if all are cached.
+  bool CacheGet(uint16_t db, uint16_t area, PageId first, uint32_t count,
+                char* dst);
+  /// Installs pages fetched (or committed) while the epoch was `epoch`;
+  /// does nothing if coverage was given up since — they may be stale.
+  void CacheFill(uint64_t epoch, uint16_t db, uint16_t area, PageId first,
+                 uint32_t count, const char* src);
+  /// Gives up coverage: bumps the epoch and empties the page cache.
+  void DropPagesLocked();
 
   Options options_;
-  MsgListener listener_;
-  MsgSocket upstream_;
-  std::mutex upstream_mutex_;
-  MsgSocket upstream_callback_;
-  uint64_t upstream_session_ = 0;
-
-  std::thread accept_thread_;
-  std::thread callback_thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> next_session_{1};
-
-  LockManager local_locks_;
-
-  mutable std::mutex mutex_;
   std::unique_ptr<HeapPlacement> cache_placement_;
   std::unique_ptr<FrameTable> page_cache_;
+  SessionCore core_;
+  std::unique_ptr<RemoteClient> upstream_;
+
+  /// A callback's "no local holder" check and its release happen under
+  /// it, and so does a grant's node-lock lookup: a local session either
+  /// sees the node lock before the release, or goes upstream again.
+  std::mutex mu_;
   std::unordered_map<uint64_t, LockMode> node_locks_;  // cached upstream locks
-  std::vector<std::shared_ptr<LocalSession>> sessions_;
-  std::vector<std::thread> session_threads_;
-  mutable Stats stats_;
+  /// Bumped (under mu_) whenever the node gives up upstream coverage: a
+  /// released callback or a lost upstream session. Each bump empties the
+  /// page cache.
+  std::atomic<uint64_t> epoch_{0};
+
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> upstream_fetches_{0};
 };
 
 }  // namespace bess

@@ -19,8 +19,6 @@ namespace {
 constexpr uint64_t kWakeTag = 0;
 constexpr uint64_t kListenerBit = 1ull << 63;
 
-thread_local const Reactor* t_event_reactor = nullptr;
-
 uint64_t MonotonicNs() {
   timespec ts;
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -193,8 +191,6 @@ void Reactor::Submit(std::function<void()> fn) {
   work_cv_.notify_one();
 }
 
-bool Reactor::OnEventThread() const { return t_event_reactor == this; }
-
 void Reactor::Wake() {
   uint64_t one = 1;
   ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
@@ -215,7 +211,6 @@ void Reactor::DrainOps() {
 }
 
 void Reactor::EventLoop() {
-  t_event_reactor = this;
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
   // With timers or a watchdog armed the loop must tick even when sockets
@@ -272,7 +267,6 @@ void Reactor::EventLoop() {
   for (auto& kv : conns_) ids.push_back(kv.first);
   for (ConnId id : ids) DestroyConn(id, /*invoke_on_close=*/true);
   DrainOps();
-  t_event_reactor = nullptr;
 }
 
 void Reactor::AcceptPending(Listener* l) {

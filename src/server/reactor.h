@@ -83,8 +83,6 @@ class Reactor {
   };
 
   explicit Reactor(Options options);
-  /// Convenience: a pool of `workers` with default overload options.
-  explicit Reactor(int workers) : Reactor(Options{.workers = workers}) {}
   ~Reactor();
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
@@ -128,9 +126,6 @@ class Reactor {
 
   /// Runs `fn` on the worker pool. Any thread.
   void Submit(std::function<void()> fn);
-
-  /// True only on the reactor's event thread (for asserts).
-  bool OnEventThread() const;
 
   /// Live connection count. Event thread only (admission checks in
   /// on_accept).

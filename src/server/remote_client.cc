@@ -15,6 +15,7 @@ namespace {
 /// Per-opcode RPC counters for the handful of opcodes that dominate the
 /// paper's traffic; the rest pool under rpc.other.
 void CountRpcOp(uint16_t type) {
+  BESS_COUNT("rpc.call");
   switch (type) {
     case kMsgFetchSlotted: BESS_COUNT("rpc.fetch_slotted"); break;
     case kMsgFetchPages: BESS_COUNT("rpc.fetch_pages"); break;
@@ -113,37 +114,29 @@ class RemoteClient::RemoteStore : public SegmentStore {
 
 // ---- connection ---------------------------------------------------------------
 
-Result<std::unique_ptr<RemoteClient>> RemoteClient::Connect(Options options) {
+Result<std::unique_ptr<RemoteClient>> RemoteClient::Connect(
+    Options options, LockCallbackPolicy* callbacks) {
   auto client = std::unique_ptr<RemoteClient>(new RemoteClient());
   client->options_ = options;
+  client->callbacks_ = callbacks;
 
-  BESS_ASSIGN_OR_RETURN(client->primary_.main,
-                        MsgSocket::Connect(options.server_path));
-  client->primary_.main.set_simulated_latency_us(options.simulated_latency_us);
   client->primary_.path = options.server_path;
   client->primary_.db_ids.push_back(options.db_id);
-  // The hello handshake is the one blocking round trip on the main socket;
-  // once the reader thread starts, all receives go through it.
-  BESS_RETURN_IF_ERROR(client->primary_.main.Send(kMsgHello, ""));
-  BESS_ASSIGN_OR_RETURN(Message hello, client->primary_.main.Recv());
-  if (hello.type != kMsgOk || hello.payload.size() != 8) {
-    return Status::Protocol("bad hello reply");
-  }
-  client->session_id_ = DecodeFixed64(hello.payload.data());
+  BESS_ASSIGN_OR_RETURN(const uint64_t session,
+                        client->OpenSession(client->primary_));
+  client->session_id_ = session;
   client->StartReader(&client->primary_);
+  BESS_RETURN_IF_ERROR(client->BindCallbackChannel(session));
 
-  BESS_ASSIGN_OR_RETURN(client->callback_sock_,
-                        MsgSocket::Connect(options.server_path));
-  std::string bind;
-  PutFixed64(&bind, client->session_id_);
-  BESS_RETURN_IF_ERROR(client->callback_sock_.Send(kMsgHelloCallback, bind));
-
-  client->store_ = std::make_unique<RemoteStore>(client.get());
-  client->mapper_ = std::make_unique<SegmentMapper>(
-      client->store_.get(), &client->types_, options.mapper);
-  client->mapper_->set_observer(client.get());
-
-  BESS_RETURN_IF_ERROR(client->SyncTypes());
+  // The object layer serves this client's own application; a client that
+  // answers callbacks through a policy caches nothing itself.
+  if (callbacks == nullptr) {
+    client->store_ = std::make_unique<RemoteStore>(client.get());
+    client->mapper_ = std::make_unique<SegmentMapper>(
+        client->store_.get(), &client->types_, options.mapper);
+    client->mapper_->set_observer(client.get());
+    BESS_RETURN_IF_ERROR(client->SyncTypes());
+  }
 
   client->running_.store(true);
   client->callback_thread_ = std::thread([c = client.get()] {
@@ -161,6 +154,26 @@ RemoteClient::~RemoteClient() {
   if (callback_thread_.joinable()) callback_thread_.join();
   callback_sock_.Close();
   mapper_.reset();
+}
+
+Result<uint64_t> RemoteClient::OpenSession(Peer& peer) {
+  BESS_ASSIGN_OR_RETURN(peer.main, MsgSocket::Connect(peer.path));
+  peer.main.set_simulated_latency_us(options_.simulated_latency_us);
+  // The hello handshake is the one blocking round trip on the main socket;
+  // once the reader thread starts, all receives go through it.
+  BESS_RETURN_IF_ERROR(peer.main.Send(kMsgHello, ""));
+  BESS_ASSIGN_OR_RETURN(Message hello, peer.main.Recv());
+  if (hello.type != kMsgOk || hello.payload.size() != 8) {
+    return Status::Protocol("bad hello reply");
+  }
+  return DecodeFixed64(hello.payload.data());
+}
+
+Status RemoteClient::BindCallbackChannel(uint64_t session) {
+  BESS_ASSIGN_OR_RETURN(callback_sock_, MsgSocket::Connect(primary_.path));
+  std::string bind;
+  PutFixed64(&bind, session);
+  return callback_sock_.Send(kMsgHelloCallback, bind);
 }
 
 // ---- pipelined RPC core -------------------------------------------------------
@@ -203,12 +216,7 @@ void RemoteClient::FailAllPending(Peer* peer, const Status& s) {
     peer->pending.clear();
     peer->drained_cv.notify_all();
   }
-  for (auto& st : victims) {
-    std::lock_guard<std::mutex> guard(st->mu);
-    st->done = true;
-    st->status = s;
-    st->cv.notify_all();
-  }
+  for (auto& st : victims) st->Finish(s, Message{});
 }
 
 void RemoteClient::ReaderLoop(Peer* peer, uint64_t generation) {
@@ -238,10 +246,7 @@ void RemoteClient::ReaderLoop(Peer* peer, uint64_t generation) {
       if (peer->pending.empty()) peer->drained_cv.notify_all();
     }
     if (st != nullptr) {
-      std::lock_guard<std::mutex> guard(st->mu);
-      st->done = true;
-      st->reply = std::move(*r);
-      st->cv.notify_all();
+      st->Finish(Status::OK(), std::move(*r));
     } else if (r->type == kMsgPing) {
       // The server's idle probe (DESIGN.md §12): an unsolicited ping with
       // no pending entry. Answer it so a live-but-quiet client is not
@@ -252,6 +257,13 @@ void RemoteClient::ReaderLoop(Peer* peer, uint64_t generation) {
     // Any other reply with no pending entry is dropped: its Call already
     // failed the send locally, or this is a stray from a dying connection.
   }
+}
+
+bool RemoteClient::Withdraw(Peer& peer, uint64_t req_id) {
+  std::lock_guard<std::mutex> guard(peer.p_mu);
+  const bool own = peer.pending.erase(req_id) > 0;
+  if (peer.pending.empty()) peer.drained_cv.notify_all();
+  return own;
 }
 
 ReplyFuture RemoteClient::CallAsyncOn(Peer& peer, uint16_t type,
@@ -277,30 +289,20 @@ ReplyFuture RemoteClient::CallAsyncOn(Peer& peer, uint16_t type,
   if (!s.ok()) {
     // Whoever erases the pending entry owns completion (the reader's
     // fail-all may be racing us).
-    bool own = false;
-    {
-      std::lock_guard<std::mutex> guard(peer.p_mu);
-      own = peer.pending.erase(req_id) > 0;
-      if (peer.pending.empty()) peer.drained_cv.notify_all();
-    }
-    if (own) {
-      std::lock_guard<std::mutex> guard(fut.state_->mu);
-      fut.state_->done = true;
-      fut.state_->status = s;
-      fut.state_->cv.notify_all();
-    }
+    if (Withdraw(peer, req_id)) fut.state_->Finish(s, Message{});
   }
   return fut;
 }
 
 ReplyFuture RemoteClient::CallAsync(uint16_t type, const std::string& payload) {
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    stats_.rpcs++;
-  }
-  BESS_COUNT("rpc.call");
+  CountStat(&Stats::rpcs);
   CountRpcOp(type);
   return CallAsyncOn(primary_, type, payload);
+}
+
+Status RemoteClient::Call(uint16_t type, const std::string& payload,
+                          Message* reply) {
+  return Call(primary_, type, payload, reply);
 }
 
 Status RemoteClient::Flush() {
@@ -326,12 +328,7 @@ Result<Message> RemoteClient::AwaitReply(Peer& peer, ReplyFuture& fut,
     // erases it owns completion (the reader may be racing us with the
     // real reply, in which case we take that instead).
     lock.unlock();
-    bool own;
-    {
-      std::lock_guard<std::mutex> pguard(peer.p_mu);
-      own = peer.pending.erase(req_id) > 0;
-      if (peer.pending.empty()) peer.drained_cv.notify_all();
-    }
+    const bool own = Withdraw(peer, req_id);
     lock.lock();
     if (own) {
       st->done = true;
@@ -353,18 +350,12 @@ Status RemoteClient::BreakerAdmit(Peer& peer) {
     const auto now = std::chrono::steady_clock::now();
     if (now < peer.breaker_until || peer.probe_inflight) {
       BESS_COUNT("client.breaker.short_circuit");
-      {
-        std::lock_guard<std::mutex> sguard(mutex_);
-        stats_.breaker_short_circuits++;
-      }
+      CountStat(&Stats::breaker_short_circuits);
       return Status::RetryLater("circuit open to " + peer.path);
     }
     peer.probe_inflight = true;  // half-open: this caller owns the probe
   }
-  {
-    std::lock_guard<std::mutex> sguard(mutex_);
-    stats_.breaker_probes++;
-  }
+  CountStat(&Stats::breaker_probes);
   BESS_COUNT("client.breaker.probe");
   const int probe_wait = std::max(options_.breaker_cooldown_ms, 50);
   uint64_t gen = 0;
@@ -422,10 +413,7 @@ void RemoteClient::BreakerRecord(Peer& peer, bool failed) {
     }
   }
   if (opened) {
-    {
-      std::lock_guard<std::mutex> sguard(mutex_);
-      stats_.breaker_opens++;
-    }
+    CountStat(&Stats::breaker_opens);
     BESS_COUNT("client.breaker.open");
     BESS_DEBUG("breaker opened to " << peer.path);
   }
@@ -433,11 +421,7 @@ void RemoteClient::BreakerRecord(Peer& peer, bool failed) {
 
 Status RemoteClient::Call(Peer& peer, uint16_t type,
                           const std::string& payload, Message* reply) {
-  {
-    std::lock_guard<std::mutex> sguard(mutex_);
-    stats_.rpcs++;
-  }
-  BESS_COUNT("rpc.call");
+  CountStat(&Stats::rpcs);
   CountRpcOp(type);
   BESS_SPAN("rpc.call.latency");
   // Local wait backstop: roughly twice the wire deadline (budget for the
@@ -456,10 +440,7 @@ Status RemoteClient::Call(Peer& peer, uint16_t type,
   for (;;) {
     if (need_reconnect) {
       if (++transport_attempts > options_.max_rpc_retries) return last;
-      {
-        std::lock_guard<std::mutex> sguard(mutex_);
-        stats_.rpc_retries++;
-      }
+      CountStat(&Stats::rpc_retries);
       BESS_COUNT("rpc.retry");
       ::usleep(static_cast<useconds_t>(options_.rpc_backoff_ms) * 1000u
                << (transport_attempts - 1));
@@ -495,10 +476,7 @@ Status RemoteClient::Call(Peer& peer, uint16_t type,
         // transport retry and never reconnects.
         if (e.IsRetryLater() && shed_retries < options_.retry_later_max) {
           ++shed_retries;
-          {
-            std::lock_guard<std::mutex> sguard(mutex_);
-            stats_.retry_later_backoffs++;
-          }
+          CountStat(&Stats::retry_later_backoffs);
           BESS_COUNT("client.retry_later.backoff");
           const uint64_t base =
               static_cast<uint64_t>(options_.retry_later_backoff_ms)
@@ -526,10 +504,7 @@ Status RemoteClient::Call(Peer& peer, uint16_t type,
       // these in a row and subsequent calls fail fast instead of each
       // burning a full deadline against a wedged server.
       BreakerRecord(peer, /*failed=*/true);
-      {
-        std::lock_guard<std::mutex> sguard(mutex_);
-        stats_.deadline_timeouts++;
-      }
+      CountStat(&Stats::deadline_timeouts);
       BESS_COUNT("client.deadline.local");
       return s;
     }
@@ -554,29 +529,20 @@ Status RemoteClient::Reconnect(Peer& peer, uint64_t observed_generation) {
     }
     peer.generation++;
   }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    stats_.reconnects++;
-  }
+  CountStat(&Stats::reconnects);
   BESS_COUNT("rpc.reconnect");
   // Retire the old reader (it exits on the generation bump; shutdown wakes
   // it if parked) and fail whatever was still in flight.
   StopReader(&peer);
   FailAllPending(&peer, Status::IOError("connection reset by reconnect"));
+  if (callbacks_ != nullptr && &peer == &primary_) callbacks_->OnSessionLost();
 
   // Swap the socket under send_mu so concurrent pipelined sends can never
   // interleave with the handshake.
   {
     std::lock_guard<std::mutex> guard(peer.send_mu);
     peer.main.Close();
-    BESS_ASSIGN_OR_RETURN(peer.main, MsgSocket::Connect(peer.path));
-    peer.main.set_simulated_latency_us(options_.simulated_latency_us);
-    BESS_RETURN_IF_ERROR(peer.main.Send(kMsgHello, ""));
-    BESS_ASSIGN_OR_RETURN(Message hello, peer.main.Recv());
-    if (hello.type != kMsgOk || hello.payload.size() != 8) {
-      return Status::Protocol("bad hello reply");
-    }
-    const uint64_t new_session = DecodeFixed64(hello.payload.data());
+    BESS_ASSIGN_OR_RETURN(const uint64_t new_session, OpenSession(peer));
 
     if (&peer == &primary_) {
       session_id_.store(new_session);
@@ -585,10 +551,7 @@ Status RemoteClient::Reconnect(Peer& peer, uint64_t observed_generation) {
       callback_sock_.Shutdown();
       if (callback_thread_.joinable()) callback_thread_.join();
       callback_sock_.Close();
-      BESS_ASSIGN_OR_RETURN(callback_sock_, MsgSocket::Connect(peer.path));
-      std::string bind;
-      PutFixed64(&bind, new_session);
-      BESS_RETURN_IF_ERROR(callback_sock_.Send(kMsgHelloCallback, bind));
+      BESS_RETURN_IF_ERROR(BindCallbackChannel(new_session));
       if (running_.load()) {
         callback_thread_ = std::thread([this] { CallbackLoop(); });
       }
@@ -622,13 +585,9 @@ RemoteClient::Peer& RemoteClient::PeerFor(uint16_t db_id) {
 Status RemoteClient::AddServer(const std::string& server_path,
                                const std::vector<uint16_t>& db_ids) {
   auto peer = std::make_unique<Peer>();
-  BESS_ASSIGN_OR_RETURN(peer->main, MsgSocket::Connect(server_path));
-  peer->main.set_simulated_latency_us(options_.simulated_latency_us);
   peer->path = server_path;
   peer->db_ids = db_ids;
-  BESS_RETURN_IF_ERROR(peer->main.Send(kMsgHello, ""));
-  BESS_ASSIGN_OR_RETURN(Message hello, peer->main.Recv());
-  if (hello.type != kMsgOk) return Status::Protocol("bad hello reply");
+  BESS_RETURN_IF_ERROR(OpenSession(*peer).status());
   StartReader(peer.get());
   extra_peers_.push_back(std::move(peer));
   return Status::OK();
@@ -664,10 +623,7 @@ Status RemoteClient::EnsureLock(uint64_t key, LockMode mode, SegmentId home) {
   payload.push_back(static_cast<char>(mode));
   PutFixed32(&payload, static_cast<uint32_t>(options_.lock_timeout_ms));
   Message reply;
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    stats_.lock_rpcs++;
-  }
+  CountStat(&Stats::lock_rpcs);
   // kDeadlock means the server's wait timed out — usually transient
   // contention (the holder's transaction will finish), not a true cycle.
   // Retry with exponential backoff; jitter desynchronizes clients that timed
@@ -683,10 +639,7 @@ Status RemoteClient::EnsureLock(uint64_t key, LockMode mode, SegmentId home) {
       std::lock_guard<std::mutex> guard(backoff_mutex_);
       jittered = base / 2 + backoff_rng_.Uniform(base / 2 + 1);
     }
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      stats_.lock_backoffs++;
-    }
+    CountStat(&Stats::lock_backoffs);
     BESS_COUNT("client.lock.backoff");
     ::usleep(static_cast<useconds_t>(jittered) * 1000u);
   }
@@ -736,7 +689,8 @@ void RemoteClient::CallbackLoop() {
     if (msg->type != kMsgCallback || msg->payload.size() < 9) continue;
     const uint64_t key = DecodeFixed64(msg->payload.data());
     const LockMode wanted = static_cast<LockMode>(msg->payload[8]);
-    Status s = HandleCallback(key, wanted);
+    Status s = callbacks_ != nullptr ? callbacks_->OnCallback(key, wanted)
+                                     : HandleCallback(key, wanted);
     (void)callback_sock_.Send(
         s.ok() ? kMsgCallbackReleased : kMsgCallbackDenied, "");
   }
@@ -988,11 +942,16 @@ Result<Slot*> RemoteClient::CreateObject(uint16_t file_id, TypeIdx type,
   return Status::Internal("object placement failed twice");
 }
 
-Result<uint16_t> RemoteClient::CreateFile(const std::string& name,
-                                          bool multifile) {
+std::string RemoteClient::NamedPayload(const std::string& name) const {
   std::string payload;
   PutFixed16(&payload, options_.db_id);
   PutLengthPrefixed(&payload, name);
+  return payload;
+}
+
+Result<uint16_t> RemoteClient::CreateFile(const std::string& name,
+                                          bool multifile) {
+  std::string payload = NamedPayload(name);
   payload.push_back(multifile ? 1 : 0);
   Message reply;
   BESS_RETURN_IF_ERROR(Call(primary_, kMsgCreateFile, payload, &reply));
@@ -1001,9 +960,7 @@ Result<uint16_t> RemoteClient::CreateFile(const std::string& name,
 }
 
 Result<uint16_t> RemoteClient::FindFile(const std::string& name) {
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   Message reply;
   BESS_RETURN_IF_ERROR(Call(primary_, kMsgFindFile, payload, &reply));
   if (reply.payload.size() < 2) return Status::Protocol("bad FindFile reply");
@@ -1025,9 +982,7 @@ Result<TypeIdx> RemoteClient::RegisterType(const TypeDescriptor& desc) {
 }
 
 Result<Slot*> RemoteClient::GetRoot(const std::string& name) {
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   Message reply;
   BESS_RETURN_IF_ERROR(Call(primary_, kMsgGetRoot, payload, &reply));
   if (reply.payload.size() != 12) return Status::Protocol("bad GetRoot reply");
@@ -1036,9 +991,7 @@ Result<Slot*> RemoteClient::GetRoot(const std::string& name) {
 
 Status RemoteClient::SetRoot(const std::string& name, Slot* slot) {
   BESS_ASSIGN_OR_RETURN(Oid oid, OidOf(slot));
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   char buf[12];
   oid.EncodeTo(buf);
   payload.append(buf, 12);
@@ -1074,6 +1027,11 @@ Result<Slot*> RemoteClient::Deref(const Oid& oid) {
   return slot;
 }
 
+void RemoteClient::CountStat(uint64_t Stats::*field) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  ++(stats_.*field);
+}
+
 RemoteClient::Stats RemoteClient::stats() const {
   std::lock_guard<std::mutex> guard(mutex_);
   return stats_;
@@ -1082,7 +1040,6 @@ RemoteClient::Stats RemoteClient::stats() const {
 Result<::bess::Stats> RemoteClient::ServerStats() {
   Message reply;
   BESS_RETURN_IF_ERROR(Call(primary_, kMsgGetStats, "", &reply));
-  if (reply.type == kMsgError) return DecodeStatusReply(reply);
   return ::bess::Stats::DecodeFrom(reply.payload);
 }
 
@@ -1104,26 +1061,20 @@ Result<ScrubReport> RemoteClient::Scrub() {
 // ---- secondary indexes ------------------------------------------------------
 
 Status RemoteClient::IndexCreate(const std::string& name) {
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   Message reply;
   return Call(primary_, kMsgIndexCreate, payload, &reply);
 }
 
 Status RemoteClient::IndexDrop(const std::string& name) {
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   Message reply;
   return Call(primary_, kMsgIndexDrop, payload, &reply);
 }
 
 Status RemoteClient::IndexPut(const std::string& name, Slice key,
                               Slice value) {
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   PutLengthPrefixed(&payload, key);
   PutLengthPrefixed(&payload, value);
   Message reply;
@@ -1132,9 +1083,7 @@ Status RemoteClient::IndexPut(const std::string& name, Slice key,
 
 Status RemoteClient::IndexDelete(const std::string& name, Slice key,
                                  bool* existed) {
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   PutLengthPrefixed(&payload, key);
   Message reply;
   BESS_RETURN_IF_ERROR(Call(primary_, kMsgIndexDel, payload, &reply));
@@ -1145,9 +1094,7 @@ Status RemoteClient::IndexDelete(const std::string& name, Slice key,
 
 Result<bool> RemoteClient::IndexGet(const std::string& name, Slice key,
                                     std::string* value) {
-  std::string payload;
-  PutFixed16(&payload, options_.db_id);
-  PutLengthPrefixed(&payload, name);
+  std::string payload = NamedPayload(name);
   PutLengthPrefixed(&payload, key);
   Message reply;
   BESS_RETURN_IF_ERROR(Call(primary_, kMsgIndexGet, payload, &reply));
@@ -1166,9 +1113,7 @@ Status RemoteClient::IndexScan(
     const std::function<Status(Slice key, Slice value)>& fn) {
   std::string cursor = lo.ToString();
   for (;;) {
-    std::string payload;
-    PutFixed16(&payload, options_.db_id);
-    PutLengthPrefixed(&payload, name);
+    std::string payload = NamedPayload(name);
     PutLengthPrefixed(&payload, cursor);
     PutLengthPrefixed(&payload, hi);
     PutFixed32(&payload, kIndexScanMaxEntries);

@@ -59,8 +59,32 @@ class ReplyFuture {
     bool done = false;
     Status status;  ///< transport outcome; OK = `reply` is valid
     Message reply;
+
+    /// Resolves the future and wakes its waiters.
+    void Finish(Status s, Message m) {
+      std::lock_guard<std::mutex> guard(mu);
+      done = true;
+      status = std::move(s);
+      reply = std::move(m);
+      cv.notify_all();
+    }
   };
   std::shared_ptr<State> state_;
+};
+
+/// How a RemoteClient that caches on behalf of others answers its server's
+/// callbacks (paper §3) — a node server answers for its applications
+/// (DESIGN.md §11). Without one, a client releases a cached lock unless its
+/// active transaction uses it.
+class LockCallbackPolicy {
+ public:
+  virtual ~LockCallbackPolicy() = default;
+  /// On the callback thread: OK releases `key` (the policy has dropped what
+  /// it covered); an error denies it.
+  virtual Status OnCallback(uint64_t key, LockMode wanted) = 0;
+  /// The server session was abandoned (a reconnect follows): every lock it
+  /// held is gone. Runs on the thread that detected the failure.
+  virtual void OnSessionLost() = 0;
 };
 
 class RemoteClient : public AccessObserver {
@@ -123,7 +147,10 @@ class RemoteClient : public AccessObserver {
     uint64_t breaker_probes = 0;          ///< half-open ping probes sent
   };
 
-  static Result<std::unique_ptr<RemoteClient>> Connect(Options options);
+  /// With a `callbacks` policy (which must outlive the client) the client
+  /// builds no object layer: only Call/CallAsync/Flush/ServerStats work.
+  static Result<std::unique_ptr<RemoteClient>> Connect(
+      Options options, LockCallbackPolicy* callbacks = nullptr);
   ~RemoteClient() override;
 
   // ---- transactions ----------------------------------------------------------
@@ -143,6 +170,10 @@ class RemoteClient : public AccessObserver {
   /// resolves to the reply or to the transport failure. The synchronous
   /// surface (and its retry semantics) is built on top of this.
   ReplyFuture CallAsync(uint16_t type, const std::string& payload);
+
+  /// One synchronous RPC to the primary server with retry/reconnect,
+  /// deadline, kRetryLater backoff and breaker; error replies as Status.
+  Status Call(uint16_t type, const std::string& payload, Message* reply);
 
   /// Barrier: blocks until every in-flight RPC on every peer has resolved
   /// (successfully or not). Useful before asserting server-side state.
@@ -236,6 +267,11 @@ class RemoteClient : public AccessObserver {
 
   RemoteClient() = default;
 
+  /// Connects `peer.main` to `peer.path` and says hello; returns the new
+  /// session id. The reader thread is not started.
+  Result<uint64_t> OpenSession(Peer& peer);
+  /// Opens the primary's callback channel and binds it to `session`.
+  Status BindCallbackChannel(uint64_t session);
   Status Call(Peer& peer, uint16_t type, const std::string& payload,
               Message* reply);
   ReplyFuture CallAsyncOn(Peer& peer, uint16_t type,
@@ -259,6 +295,9 @@ class RemoteClient : public AccessObserver {
   /// Shuts the peer's socket and joins its reader (used by teardown).
   void StopReader(Peer* peer);
   void FailAllPending(Peer* peer, const Status& s);
+  /// Removes `req_id` from the in-flight map; true means the caller now
+  /// owns completing its future (the reader did not get there first).
+  bool Withdraw(Peer& peer, uint64_t req_id);
   /// Re-establishes a failed peer connection: fresh session (the server has
   /// already — or will — release the dead session's locks), rebound callback
   /// channel for the primary, client lock/data caches invalidated, any
@@ -270,9 +309,14 @@ class RemoteClient : public AccessObserver {
   Status SyncTypes();
   void CallbackLoop();
   Status HandleCallback(uint64_t key, LockMode wanted);
+  /// Bumps one field of the stats mirror (guarded by mutex_).
+  void CountStat(uint64_t Stats::*field);
   Result<SegmentId> ActiveSegment(uint16_t file_id, uint32_t min_bytes);
+  /// A request payload naming `name` in this client's database.
+  std::string NamedPayload(const std::string& name) const;
 
   Options options_;
+  LockCallbackPolicy* callbacks_ = nullptr;
   Peer primary_;
   std::vector<std::unique_ptr<Peer>> extra_peers_;
   MsgSocket callback_sock_;

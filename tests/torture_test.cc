@@ -604,16 +604,18 @@ TEST_F(TortureTest, ReactorChaosLeaksNoSessionsFdsOrLocks) {
     return p;
   };
 
-  // Steady-state fd baseline (listener + reactor plumbing are up).
-  {
-    auto warm = connect_raw();
-    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    (void)warm->Send(kMsgGoodbye, "");
-  }
+  // Steady-state fd baseline: listener + reactor plumbing are up once
+  // Start() returns. It is taken before any connection exists, so it never
+  // depends on whether the server has closed a finished connection yet.
   size_t fd_baseline = 0;
   for (auto it = std::filesystem::directory_iterator("/proc/self/fd");
        it != std::filesystem::directory_iterator(); ++it) {
     ++fd_baseline;
+  }
+  {
+    auto warm = connect_raw();
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    (void)warm->Send(kMsgGoodbye, "");
   }
 
   auto& faults = fault::FaultRegistry::Instance();
@@ -742,6 +744,7 @@ TEST_F(TortureTest, ReactorChaosLeaksNoSessionsFdsOrLocks) {
         << "lock " << key << " leaked by a dead session";
   }
   (void)probe->Send(kMsgGoodbye, "");
+  probe->Close();  // the probe's own fd is not the server's to return
 
   size_t fds = 0;
   const auto fd_deadline =
