@@ -2,8 +2,8 @@
 //
 // Measures: restart (analysis + redo + undo) time as a function of log
 // length, how a fuzzy checkpoint bounds restart by the dirty-set size
-// rather than the log length, parallel-redo scaling, and group-commit
-// coalescing of log syncs under concurrent committers.
+// rather than the log length, and group-commit coalescing of log syncs
+// under concurrent committers.
 //
 // Besides the stdout tables, writes BENCH_recovery.json (flat keys, one per
 // line — scripts/check_bench_recovery.sh gates on it) into $BESS_METRICS_DIR
@@ -80,12 +80,14 @@ int main() {
 
   PrintHeader("E13: restart recovery time vs log length (§3, [21])",
               "committed-txns   log-MB   restart-ms   records   redo-pages");
+  RestartSample longest;  // the 800-txn log: the restart trend line
   for (int txns : {50, 200, 800}) {
     const RestartSample s = RunRestart(txns, /*cp_every=*/0);
     printf("%14d   %6.1f   %10.1f   %7llu   %10llu\n", txns,
            s.log_bytes / 1048576.0, s.restart_ms,
            (unsigned long long)s.stats.records_scanned,
            (unsigned long long)s.stats.redo_pages);
+    longest = s;
   }
 
   PrintHeader(
@@ -139,53 +141,11 @@ int main() {
            (unsigned long long)syncs, static_cast<double>(syncs) / total);
   }
 
-  PrintHeader("E13d: parallel redo (same 800-txn log, no checkpoint)",
-              "redo-workers   restart-ms   redo-pages");
-  RestartSample serial, parallel;
-  for (int workers : {1, 4}) {
-    TempDir dir("recovery_pr");
-    {
-      Database::Options o;
-      o.dir = dir.path();
-      o.create = true;
-      o.checkpoint_log_bytes = 0;  // identical logs for both worker counts
-      auto db = Database::Open(o);
-      if (!db.ok()) return 1;
-      auto file = (*db)->CreateFile("f");
-      for (int t = 0; t < 800; ++t) {
-        auto txn = (*db)->Begin();
-        uint64_t v = static_cast<uint64_t>(t);
-        if (!(*db)->CreateObject(*file, kRawBytesType, 512, &v).ok()) {
-          return 1;
-        }
-        if (!(*db)->Commit(*txn).ok()) return 1;
-      }
-    }
-    RestartSample s;
-    s.log_bytes = WalBytes(dir.path());
-    Database::Options o;
-    o.dir = dir.path();
-    o.create = false;
-    o.recovery_redo_workers = workers;
-    std::unique_ptr<Database> reopened;
-    s.restart_ms = TimeIt([&] {
-                     auto db = Database::Open(o);
-                     if (!db.ok()) exit(1);
-                     reopened = std::move(*db);
-                   }) *
-                   1e3;
-    s.stats = reopened->last_recovery_stats();
-    printf("%12d   %10.1f   %10llu\n", s.stats.redo_workers, s.restart_ms,
-           (unsigned long long)s.stats.redo_pages);
-    (workers == 1 ? serial : parallel) = s;
-  }
-
   printf("\nExpectation: restart time scales with the log to replay; a fuzzy\n"
          "checkpoint bounds it by the dirty set at the checkpoint (the log\n"
-         "behind min(recLSN) is recycled, analysis seeds from the snapshot);\n"
-         "parallel redo overlaps page writes; concurrent committers share\n"
-         "fdatasyncs (syncs per transaction falls below the 1-committer "
-         "line).\n");
+         "behind min(recLSN) is recycled, restart scans from the redo\n"
+         "floor); concurrent committers share fdatasyncs (syncs per\n"
+         "transaction falls below the 1-committer line).\n");
 
   // The persistent gate artifact: flat keys, one per line, awk-parseable.
   {
@@ -207,10 +167,8 @@ int main() {
             "  \"fuzzy_records_scanned\": %llu,\n"
             "  \"fuzzy_redo_pages\": %llu,\n"
             "  \"fuzzy_log_bytes\": %llu,\n"
-            "  \"redo_workers\": %d,\n"
-            "  \"parallel_serial_ms\": %.3f,\n"
-            "  \"parallel_ms\": %.3f,\n"
-            "  \"parallel_redo_pages\": %llu\n"
+            "  \"long_restart_ms\": %.3f,\n"
+            "  \"long_redo_pages\": %llu\n"
             "}\n",
             baseline.restart_ms,
             (unsigned long long)baseline.stats.records_scanned,
@@ -218,10 +176,8 @@ int main() {
             (unsigned long long)baseline.log_bytes, fuzzy.restart_ms,
             (unsigned long long)fuzzy.stats.records_scanned,
             (unsigned long long)fuzzy.stats.redo_pages,
-            (unsigned long long)fuzzy.log_bytes,
-            parallel.stats.redo_workers, serial.restart_ms,
-            parallel.restart_ms,
-            (unsigned long long)parallel.stats.redo_pages);
+            (unsigned long long)fuzzy.log_bytes, longest.restart_ms,
+            (unsigned long long)longest.stats.redo_pages);
     fclose(f);
     printf("[gate artifact: %s]\n", path.c_str());
   }

@@ -295,14 +295,8 @@ Status FrameTable::WriteBackLocked(uint32_t f,
   cleaned_cv_.notify_all();
   load_cv_.notify_all();
   if (cleaned && opts_.on_cleaned) {
-    // Without the mutex: the checkpoint thread holds its recovery mutex
-    // across CollectDirty (which takes mu_), and the callback takes that
-    // same recovery mutex — firing under mu_ would invert the order. The
-    // frame may be re-dirtied or evicted by the time the callback runs;
-    // that's fine, the callback only parks (key, recLSN) conservatively.
-    lk.unlock();
-    opts_.on_cleaned(key, cleaned_rec_lsn);
-    lk.lock();
+    cleaning_.emplace_back(key, cleaned_rec_lsn);
+    ReportCleanedLocked(lk, {{key, cleaned_rec_lsn}});
   }
   return Status::OK();
 }
@@ -533,6 +527,7 @@ void FrameTable::CollectDirty(
     if (key == 0) continue;
     out->emplace_back(key, meta_[f].rec_lsn.load(std::memory_order_relaxed));
   }
+  out->insert(out->end(), cleaning_.begin(), cleaning_.end());
 }
 
 bool FrameTable::Get(uint64_t key, void* out) {
@@ -1036,6 +1031,7 @@ void FrameTable::ProcessAioLocked(
         BESS_COUNT("cache.bgwriter.flushed");
         if (now_clean && opts_.on_cleaned) {
           cleaned->emplace_back(p.key, cleaned_rec_lsn);
+          cleaning_.emplace_back(p.key, cleaned_rec_lsn);
         }
       } else {
         if (m.State() == FrameState::kWriting) SetState(f, FrameState::kDirty);
@@ -1060,14 +1056,28 @@ uint32_t FrameTable::ReapAioLocked(std::unique_lock<std::mutex>& lk,
   if (n == 0) return 0;
   std::vector<std::pair<uint64_t, uint64_t>> cleaned;
   ProcessAioLocked(buf, n, &cleaned);
-  if (!cleaned.empty()) {
-    // on_cleaned fires without the mutex — same lock-order contract as the
-    // synchronous write-back path.
-    lk.unlock();
-    for (const auto& [key, rec] : cleaned) opts_.on_cleaned(key, rec);
-    lk.lock();
-  }
+  if (!cleaned.empty()) ReportCleanedLocked(lk, cleaned);
   return n;
+}
+
+void FrameTable::ReportCleanedLocked(
+    std::unique_lock<std::mutex>& lk,
+    const std::vector<std::pair<uint64_t, uint64_t>>& cleaned) {
+  // Without the mutex: the checkpoint thread holds its recovery mutex
+  // across CollectDirty (which takes mu_), and the callback takes that
+  // same recovery mutex — firing under mu_ would invert the order. The
+  // frame may be re-dirtied or evicted by the time the callback runs;
+  // that's fine, the callback only parks (key, recLSN) conservatively.
+  // Until it returns, cleaning_ keeps the page in CollectDirty's view: a
+  // checkpoint snapshot in between would otherwise find it in neither
+  // table and set the redo floor past its unsynced write.
+  lk.unlock();
+  for (const auto& [key, rec] : cleaned) opts_.on_cleaned(key, rec);
+  lk.lock();
+  for (const auto& entry : cleaned) {
+    auto it = std::find(cleaning_.begin(), cleaning_.end(), entry);
+    if (it != cleaning_.end()) cleaning_.erase(it);
+  }
 }
 
 // ---- bgwriter ---------------------------------------------------------------

@@ -334,8 +334,10 @@ class FrameTable {
 
   /// Snapshots (page key, recLSN) for every frame that may hold bytes the
   /// store does not: the fuzzy checkpoint's dirty-page table. Includes
-  /// frames with a write-back in flight (not yet acked durable). A recLSN
-  /// of 0 means unknown — the checkpoint must treat it conservatively.
+  /// frames with a write-back in flight (not yet acked durable), and frames
+  /// already cleaned whose on_cleaned callback has not returned — until it
+  /// has, the page is in no dirty-page table but this one. A recLSN of 0
+  /// means unknown — the checkpoint must treat it conservatively.
   void CollectDirty(std::vector<std::pair<uint64_t, uint64_t>>* out) const;
 
   /// Copy-out / copy-in convenience for put/get caches (node cache).
@@ -413,6 +415,11 @@ class FrameTable {
   /// on_cleaned callbacks without the mutex. Returns completions processed.
   uint32_t ReapAioLocked(std::unique_lock<std::mutex>& lk,
                          uint32_t timeout_ms);
+  /// Fires on_cleaned for `cleaned` (already in cleaning_) without the
+  /// mutex, then drops them from cleaning_.
+  void ReportCleanedLocked(
+      std::unique_lock<std::mutex>& lk,
+      const std::vector<std::pair<uint64_t, uint64_t>>& cleaned);
 
   Options opts_;
   Placement* placement_;
@@ -445,6 +452,10 @@ class FrameTable {
   std::vector<PendingAio> aio_pending_;  ///< indexed by frame
   uint32_t aio_inflight_ = 0;
   uint32_t scan_inflight_ = 0;  ///< subset of aio_inflight_ from ScanRange
+
+  /// (key, recLSN) of frames finalized clean whose on_cleaned has not
+  /// returned yet (guarded by mu_); CollectDirty reports them.
+  std::vector<std::pair<uint64_t, uint64_t>> cleaning_;
 
   Stats stats_;
 };

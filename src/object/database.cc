@@ -308,7 +308,6 @@ class AreaSink : public PageSink {
 Status Database::RunRecovery() {
   AreaSink sink(&areas_);
   RecoveryOptions ropts;
-  ropts.redo_workers = options_.recovery_redo_workers;
   // Logical undo of loser index records runs against temporary tree
   // runtimes (synchronous I/O, no bgwriter) opened lazily per index area —
   // the catalog is not loaded yet, but the meta page is page 0 of the
@@ -368,19 +367,17 @@ Status Database::RunRecovery() {
     BESS_INFO("recovery: torn log tail, recovered up to LSN "
               << recovery.stats().recovered_tail_lsn);
   }
-  if (options_.scrub_on_recovery) {
-    // Scrub while the log still exists: this is the last moment the old
-    // epoch's images are available for single-page repair.
-    ScrubReport report;
-    for (auto& area : areas_) {
-      Status s = area->Scrub(&report);
-      if (!s.ok() && !s.IsCorruption()) return s;
-    }
-    if (report.verify_failures > 0) {
-      BESS_INFO("recovery scrub: " << report.verify_failures << " bad pages, "
-                                   << report.repaired << " repaired, "
-                                   << report.quarantined << " quarantined");
-    }
+  // Scrub while the log still exists: this is the last moment the old
+  // epoch's images are available for single-page repair (DESIGN.md §7).
+  ScrubReport report;
+  for (auto& area : areas_) {
+    Status s = area->Scrub(&report);
+    if (!s.ok() && !s.IsCorruption()) return s;
+  }
+  if (report.verify_failures > 0) {
+    BESS_INFO("recovery scrub: " << report.verify_failures << " bad pages, "
+                                 << report.repaired << " repaired, "
+                                 << report.quarantined << " quarantined");
   }
   {
     std::lock_guard<std::mutex> guard(fpi_mutex_);
@@ -2014,10 +2011,11 @@ Status Database::Checkpoint() {
   // covers it. Entries added concurrently land in the fresh table and stay
   // for the snapshot. This insert-after-write rule is also why a background
   // write-back finishing between the Sync below and the CollectDirty
-  // snapshot cannot lose its page: the frame leaves CollectDirty's view,
-  // but its DPT entry (made post-swap) keeps the redo floor at its recLSN
-  // until a later checkpoint's sync verifiably covers the write. On a sync
-  // failure the entries are merged back — nothing is verifiably durable.
+  // snapshot cannot lose its page: the frame leaves CollectDirty's view
+  // only once its on_cleaned hook has returned, and the DPT entry that hook
+  // made post-swap keeps the redo floor at its recLSN until a later
+  // checkpoint's sync verifiably covers the write. On a sync failure the
+  // entries are merged back — nothing is verifiably durable.
   std::unordered_map<uint64_t, Lsn> trimmed;
   {
     std::lock_guard<std::mutex> guard(rec_mutex_);

@@ -128,12 +128,6 @@ class Database {
     /// been appended since the last one (checked by a background thread).
     /// 0 disables the periodic trigger; explicit Checkpoint() still works.
     uint64_t checkpoint_log_bytes = 16ull << 20;
-    /// Worker threads for the parallel redo pass of restart recovery.
-    /// <= 1 replays inline.
-    int recovery_redo_workers = 4;
-    /// Scrub every area after restart recovery, while the log still holds
-    /// the images needed for single-page media repair (DESIGN.md §7).
-    bool scrub_on_recovery = true;
     /// fdatasync the data files inside every commit (strict force). Off by
     /// default when the WAL is on: the flushed commit record + after-images
     /// already make the commit durable (restart redo repeats history), so

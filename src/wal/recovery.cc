@@ -1,13 +1,6 @@
 #include "wal/recovery.h"
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 #include <unordered_set>
-#include <vector>
 
 #include "obs/trace.h"
 #include "storage/page_io.h"
@@ -19,13 +12,15 @@ Status RecoveryManager::Run() {
   BESS_SPAN("wal.recovery");
   BESS_COUNT("wal.recovery.runs");
   BESS_ASSIGN_OR_RETURN(Lsn checkpoint, log_->GetCheckpointLsn());
+  Lsn redo_start;
   {
     BESS_SPAN("wal.recovery.analysis");
-    BESS_RETURN_IF_ERROR(Analysis(checkpoint));
+    BESS_ASSIGN_OR_RETURN(redo_start, RedoFloor(checkpoint));
   }
+  stats_.redo_start_lsn = redo_start;
   {
     BESS_SPAN("wal.recovery.redo");
-    BESS_RETURN_IF_ERROR(Redo());
+    BESS_RETURN_IF_ERROR(Redo(redo_start));
   }
   {
     BESS_SPAN("wal.recovery.undo");
@@ -36,39 +31,46 @@ Status RecoveryManager::Run() {
   return sink_->Sync();
 }
 
-Status RecoveryManager::Analysis(Lsn checkpoint_lsn) {
-  // Establish the redo floor from the checkpoint, then roll the transaction
-  // table forward. Without a checkpoint, redo must repeat history from the
-  // start of the retained log.
-  redo_start_ = kNullLsn;
-  Lsn scan_start = checkpoint_lsn;
-  if (checkpoint_lsn != kNullLsn) {
-    BESS_ASSIGN_OR_RETURN(LogRecord cp, log_->ReadRecord(checkpoint_lsn));
-    if (cp.type != LogRecordType::kCheckpoint) {
-      return Status::Corruption("master record does not point at checkpoint");
-    }
-    // The checkpoint's redo floor already folds in the snapshot's dirty-page
-    // recLSNs and active transactions' first LSNs; re-min against the dirty
-    // pages defensively (it can only lower the floor, never lose redo work).
-    redo_start_ = cp.redo_floor;
-    for (const LogRecord::DirtyPage& d : cp.dirty_pages) {
-      if (d.rec_lsn != kNullLsn &&
-          (redo_start_ == kNullLsn || d.rec_lsn < redo_start_)) {
-        redo_start_ = d.rec_lsn;
-      }
-    }
-    // Scan from the redo floor, NOT from the checkpoint record. The
-    // checkpoint is fuzzy: records appended between its snapshot and the
-    // append of the record itself — commit records included — are invisible
-    // to the snapshotted transaction table, so seeding from cp.active_txns
-    // could resurrect an already-committed transaction as a loser and roll
-    // back an acknowledged commit. The floor lower-bounds every snapshotted
-    // transaction's first record (it folds in their first LSNs), so scanning
-    // from it rebuilds the full table — begin, writes, commit — from the
-    // records themselves.
-    scan_start = redo_start_;
+Result<Lsn> RecoveryManager::RedoFloor(Lsn checkpoint_lsn) {
+  // Without a checkpoint, redo must repeat history from the start of the
+  // retained log.
+  if (checkpoint_lsn == kNullLsn) return kNullLsn;
+  BESS_ASSIGN_OR_RETURN(LogRecord cp, log_->ReadRecord(checkpoint_lsn));
+  if (cp.type != LogRecordType::kCheckpoint) {
+    return Status::Corruption("master record does not point at checkpoint");
   }
-  return log_->Scan(scan_start, [&](Lsn lsn, const LogRecord& rec) {
+  // The checkpoint's redo floor already folds in the snapshot's dirty-page
+  // recLSNs and active transactions' first LSNs; re-min against the dirty
+  // pages defensively (it can only lower the floor, never lose redo work).
+  Lsn floor = cp.redo_floor;
+  for (const LogRecord::DirtyPage& d : cp.dirty_pages) {
+    if (d.rec_lsn != kNullLsn && (floor == kNullLsn || d.rec_lsn < floor)) {
+      floor = d.rec_lsn;
+    }
+  }
+  // The transaction table is rebuilt from the floor too, NOT seeded from
+  // cp.active_txns. The checkpoint is fuzzy: records appended between its
+  // snapshot and the append of the record itself — commit records
+  // included — are invisible to the snapshotted table, so seeding from it
+  // could resurrect an already-committed transaction as a loser and roll
+  // back an acknowledged commit. The floor lower-bounds every snapshotted
+  // transaction's first record (it folds in their first LSNs), so scanning
+  // from it sees each one's begin, writes and commit.
+  return floor;
+}
+
+Status RecoveryManager::Redo(Lsn from) {
+  // One forward scan rolls the transaction table forward and repeats
+  // history: every after-image is reapplied blindly, in LSN order. Full-page
+  // physical images make replay idempotent without page LSNs, and replay
+  // never consults the table, so both can run off the same records.
+  auto apply = [&](PageAddr page, const std::string& image, Lsn lsn) {
+    BESS_RETURN_IF_ERROR(sink_->WritePage(page, image.data(), lsn));
+    stats_.redo_pages++;
+    BESS_COUNT("wal.recovery.redo.pages");
+    return Status::OK();
+  };
+  return log_->Scan(from, [&](Lsn lsn, const LogRecord& rec) {
     stats_.records_scanned++;
     switch (rec.type) {
       case LogRecordType::kBegin:
@@ -85,162 +87,29 @@ Status RecoveryManager::Analysis(Lsn checkpoint_lsn) {
         // Presumed abort: a prepared transaction with no commit record is
         // a loser after restart.
         break;
+      case LogRecordType::kCheckpoint:
+        break;
       case LogRecordType::kPageWrite:
       case LogRecordType::kClr:
       case LogRecordType::kIndexPut:
       case LogRecordType::kIndexDelete:
         txns_[rec.txn].last_lsn = lsn;
+        [[fallthrough]];
+      case LogRecordType::kFullPageImage:
+        // Media-repair images never join a transaction's undo chain.
+        if (!rec.after.empty()) return apply(rec.page, rec.after, lsn);
         break;
       case LogRecordType::kIndexSmo:
         // Transaction-less nested top action (txn = kNoTxn): structurally
         // valid whether or not any enclosing transaction commits, so it
         // never joins an undo chain — redo-only.
-        break;
-      case LogRecordType::kCheckpoint:
-        break;
-      case LogRecordType::kFullPageImage:
-        // Media-repair images never join a transaction's undo chain.
-        break;
-    }
-    return Status::OK();
-  });
-}
-
-namespace {
-
-/// One redo worker: a bounded queue of after-images for the pages hashed to
-/// it. Per-page ordering is preserved because a page always hashes to the
-/// same worker and the scan feeds items in LSN order.
-struct RedoWorker {
-  struct Item {
-    Lsn lsn;
-    PageAddr page;
-    std::string after;
-  };
-  static constexpr size_t kQueueCap = 128;
-
-  std::mutex mu;
-  std::condition_variable cv_pop;   // worker waits for items
-  std::condition_variable cv_push;  // producer waits for space
-  std::deque<Item> queue;
-  bool done = false;
-  uint64_t pages = 0;
-  Status status;
-  std::thread thread;
-
-  void RunLoop(PageSink* sink, std::atomic<bool>* failed) {
-    for (;;) {
-      Item item;
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        cv_pop.wait(lk, [&] { return done || !queue.empty(); });
-        if (queue.empty()) return;
-        item = std::move(queue.front());
-        queue.pop_front();
-        cv_push.notify_one();
-      }
-      if (failed->load(std::memory_order_relaxed)) continue;  // drain
-      Status st = sink->WritePage(item.page, item.after.data(), item.lsn);
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lk(mu);
-        if (status.ok()) status = st;
-        failed->store(true, std::memory_order_relaxed);
-        continue;
-      }
-      pages++;
-      BESS_COUNT("wal.recovery.redo.pages");
-    }
-  }
-};
-
-}  // namespace
-
-Status RecoveryManager::Redo() {
-  // Repeating history: blindly reapply every after-image, starting at the
-  // recLSN floor from analysis. Full-page physical images make replay
-  // idempotent without page LSNs, and make pages independent — so the work
-  // partitions by page across workers, each applying its pages in LSN order.
-  const int workers = std::max(1, opts_.redo_workers);
-  stats_.redo_start_lsn = redo_start_;
-  stats_.redo_workers = workers;
-
-  if (workers == 1) {
-    return log_->Scan(redo_start_, [&](Lsn lsn, const LogRecord& rec) {
-      if (rec.type == LogRecordType::kPageWrite ||
-          rec.type == LogRecordType::kClr ||
-          rec.type == LogRecordType::kFullPageImage ||
-          rec.type == LogRecordType::kIndexPut ||
-          rec.type == LogRecordType::kIndexDelete) {
-        if (!rec.after.empty()) {
-          BESS_RETURN_IF_ERROR(
-              sink_->WritePage(rec.page, rec.after.data(), lsn));
-          stats_.redo_pages++;
-          BESS_COUNT("wal.recovery.redo.pages");
-        }
-      } else if (rec.type == LogRecordType::kIndexSmo) {
         for (const LogRecord::SmoPage& p : rec.smo_pages) {
-          BESS_RETURN_IF_ERROR(sink_->WritePage(p.page, p.image.data(), lsn));
-          stats_.redo_pages++;
-          BESS_COUNT("wal.recovery.redo.pages");
+          BESS_RETURN_IF_ERROR(apply(p.page, p.image, lsn));
         }
-      }
-      return Status::OK();
-    });
-  }
-
-  std::vector<std::unique_ptr<RedoWorker>> pool;
-  std::atomic<bool> failed{false};
-  for (int i = 0; i < workers; ++i) {
-    auto w = std::make_unique<RedoWorker>();
-    w->thread = std::thread([worker = w.get(), this, &failed] {
-      worker->RunLoop(sink_, &failed);
-    });
-    pool.push_back(std::move(w));
-  }
-  auto push = [&](Lsn lsn, PageAddr page, const std::string& after) {
-    RedoWorker& w = *pool[std::hash<uint64_t>{}(page.Pack()) % pool.size()];
-    std::unique_lock<std::mutex> lk(w.mu);
-    w.cv_push.wait(lk, [&] {
-      return w.queue.size() < RedoWorker::kQueueCap ||
-             failed.load(std::memory_order_relaxed);
-    });
-    w.queue.push_back({lsn, page, after});
-    w.cv_pop.notify_one();
-  };
-  Status scan_st = log_->Scan(redo_start_, [&](Lsn lsn, const LogRecord& rec) {
-    const bool single = rec.type == LogRecordType::kPageWrite ||
-                        rec.type == LogRecordType::kClr ||
-                        rec.type == LogRecordType::kFullPageImage ||
-                        rec.type == LogRecordType::kIndexPut ||
-                        rec.type == LogRecordType::kIndexDelete;
-    if (!single && rec.type != LogRecordType::kIndexSmo) return Status::OK();
-    if (failed.load(std::memory_order_relaxed)) {
-      return Status::Aborted("redo worker failed");  // stop scanning early
-    }
-    if (single) {
-      if (!rec.after.empty()) push(lsn, rec.page, rec.after);
-    } else {
-      for (const LogRecord::SmoPage& p : rec.smo_pages) {
-        push(lsn, p.page, p.image);
-      }
+        break;
     }
     return Status::OK();
   });
-  Status worker_st;
-  for (auto& w : pool) {
-    {
-      std::lock_guard<std::mutex> lk(w->mu);
-      w->done = true;
-    }
-    w->cv_pop.notify_all();
-    w->thread.join();
-    stats_.redo_pages += w->pages;
-    if (worker_st.ok() && !w->status.ok()) worker_st = w->status;
-  }
-  // A worker failure is the root cause; the scan's Aborted is just the
-  // early-stop signal it triggered.
-  if (!worker_st.ok()) return worker_st;
-  return scan_st;
 }
 
 Status RecoveryManager::Undo() {

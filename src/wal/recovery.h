@@ -1,17 +1,13 @@
 // ARIES-style restart recovery: analysis, redo (repeating history), undo
 // with compensation records.
 //
-// With a fuzzy checkpoint (log_record.h kCheckpoint) in the master record,
-// analysis seeds its transaction table from the checkpoint snapshot and
-// scans forward from the checkpoint LSN, and redo starts at the checkpoint's
-// redo floor — min over the snapshot's dirty-page recLSNs and active
-// transactions' first LSNs — rather than the start of the log. Restart cost
-// is then bounded by the dirty set at the last checkpoint, not log length.
-//
-// Redo partitions work by page across a small worker pool (redo of full
-// physical images is blind and idempotent, so pages are independent; only
-// per-page ordering matters, which hashing each page to a fixed worker
-// preserves).
+// Analysis reads the fuzzy checkpoint (log_record.h kCheckpoint) named by
+// the master record, if any, for the redo floor — min over the snapshot's
+// dirty-page recLSNs and active transactions' first LSNs. One forward scan
+// from that floor (the start of the retained log without a checkpoint) then
+// rebuilds the transaction table and blindly reapplies every after-image in
+// LSN order. Restart cost is bounded by the dirty set at the last
+// checkpoint, not log length, and each retained record is read once.
 #ifndef BESS_WAL_RECOVERY_H_
 #define BESS_WAL_RECOVERY_H_
 
@@ -26,8 +22,6 @@ namespace bess {
 /// Where recovered page images land (the storage areas, or a test double).
 /// `lsn` is the LSN of the log record being applied (kNullLsn for undo
 /// before-images) so the sink can stamp page trailers (DESIGN.md §7).
-/// With redo_workers > 1, WritePage must be thread-safe for distinct pages
-/// (StorageArea::WritePages is).
 class PageSink {
  public:
   virtual ~PageSink() = default;
@@ -36,9 +30,6 @@ class PageSink {
 };
 
 struct RecoveryOptions {
-  /// Redo worker threads; <= 1 applies images inline on the scanning thread.
-  int redo_workers = 0;
-
   /// Logical undo hook for index records (DESIGN.md §14). Called during the
   /// undo pass for each loser kIndexPut/kIndexDelete: the callback must
   /// reverse the logical operation against the *recovered* tree (re-descend;
@@ -58,12 +49,11 @@ struct RecoveryStats {
   uint64_t loser_txns = 0;
   uint64_t winner_txns = 0;
   Lsn redo_start_lsn = kNullLsn;  ///< where redo began (the recLSN floor)
-  int redo_workers = 1;
   Lsn recovered_tail_lsn = kNullLsn;  ///< log tail after the torn-tail scan
   bool torn_tail = false;  ///< the log ended in a truncated/garbage record
 };
 
-/// Runs the three ARIES passes over `log`, applying page images to `sink`.
+/// Runs ARIES restart over `log`, applying page images to `sink`.
 /// Safe to re-run after a crash during recovery itself (CLRs make undo
 /// idempotent; redo is blind physical reapplication).
 class RecoveryManager {
@@ -83,15 +73,14 @@ class RecoveryManager {
     bool ended = false;
   };
 
-  Status Analysis(Lsn checkpoint_lsn);
-  Status Redo();
+  Result<Lsn> RedoFloor(Lsn checkpoint_lsn);
+  Status Redo(Lsn from);
   Status Undo();
 
   LogManager* log_;
   PageSink* sink_;
   RecoveryOptions opts_;
   std::unordered_map<TxnId, TxnState> txns_;
-  Lsn redo_start_ = kNullLsn;  ///< set by Analysis
   RecoveryStats stats_;
 };
 

@@ -740,6 +740,82 @@ TEST(FrameTableTest, PressureWaitWakesWhenLastDirtyFrameGetsPinned) {
   table.Stop();
 }
 
+// ---- checkpoint coupling ----------------------------------------------------
+
+// A frame finalized clean stays in CollectDirty's view until its
+// on_cleaned callback returns, on both the synchronous and the async
+// write-back path. The checkpoint builds its dirty-page table from the two,
+// so a page that sat in neither between the finalize and the callback let
+// the redo floor pass its unsynced write-back, and restart lost it.
+TEST(FrameTableTest, CleanedFrameStaysCollectableUntilReported) {
+  for (const bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async bgwriter" : "synchronous flush");
+    InMemoryStore store;
+    SeedStore(&store, 8);
+    StorePageIo io(&store);
+    std::unique_ptr<AsyncPageIo> aio;
+    if (async) {
+      AsyncPageIoOptions aopts;
+      aopts.backend = "pool";
+      auto made = MakeAsyncPageIo(aopts, &io, nullptr);
+      ASSERT_TRUE(made.ok());
+      aio = std::move(*made);
+    }
+    HeapPlacement placement(4);
+    FrameTable* table_ptr = nullptr;
+    std::mutex mu;
+    int reported = 0;
+    int collectable = 0;
+    FrameTable::Options opts;
+    opts.frame_count = 4;
+    opts.enable_bgwriter = async;
+    opts.bgwriter_interval_ms = 1;
+    opts.async_io = aio.get();
+    opts.async_queue_depth = 8;
+    opts.on_cleaned = [&](uint64_t key, uint64_t rec_lsn) {
+      std::vector<std::pair<uint64_t, uint64_t>> dirty;
+      table_ptr->CollectDirty(&dirty);
+      std::lock_guard<std::mutex> guard(mu);
+      reported++;
+      for (const auto& entry : dirty) {
+        if (entry == std::make_pair(key, rec_lsn)) {
+          collectable++;
+          break;
+        }
+      }
+    };
+    FrameTable table(opts, &placement, &io);
+    table_ptr = &table;
+    ASSERT_TRUE(table.Init().ok());
+
+    for (uint32_t p = 0; p < 4; ++p) {
+      auto r = table.Fix(Key(p), /*for_write=*/true);
+      ASSERT_TRUE(r.ok());
+      ASSERT_TRUE(table.MarkDirty(r->frame, 10 + p).ok());
+    }
+    if (!async) ASSERT_TRUE(table.FlushDirty().ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> guard(mu);
+        if (reported >= 4) break;
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "write-backs never reported clean";
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    table.Stop();
+    std::lock_guard<std::mutex> guard(mu);
+    EXPECT_EQ(reported, 4);
+    EXPECT_EQ(collectable, 4)
+        << "a cleaned page left CollectDirty before on_cleaned recorded it";
+    std::vector<std::pair<uint64_t, uint64_t>> after;
+    table.CollectDirty(&after);
+    EXPECT_TRUE(after.empty()) << "reported pages must leave the view";
+  }
+}
+
 // ---- async pipeline ---------------------------------------------------------
 
 class WalGateCountingIo : public StorePageIo {

@@ -1,14 +1,13 @@
 // Tests for the always-on recovery subsystem (DESIGN.md §10): fuzzy
 // checkpoints bounding restart by the dirty set, the bounded segmented log
 // (roll, recycle, retention floor), ENOSPC backpressure as graceful
-// degradation, parallel redo, and survivability of injected enospc/io_error
-// during checkpoint append and segment recycle.
+// degradation, the one-scan restart, and survivability of injected
+// enospc/io_error during checkpoint append and segment recycle.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "object/database.h"
@@ -355,48 +354,45 @@ TEST_F(RecoveryTest, BackpressureForcesCheckpointsUnderCommitStorm) {
   EXPECT_EQ(ReadValue(), 120u);
 }
 
-// ---- parallel redo ----------------------------------------------------------
+// ---- the restart scan -------------------------------------------------------
 
-class ConcurrentMemSink : public PageSink {
+class MemSink : public PageSink {
  public:
   Status WritePage(PageAddr addr, const void* bytes, Lsn lsn) override {
     (void)lsn;
-    std::lock_guard<std::mutex> guard(mu_);
     pages_[addr.Pack()] =
         std::string(static_cast<const char*>(bytes), kPageSize);
     return Status::OK();
   }
   Status Sync() override { return Status::OK(); }
   std::map<uint64_t, std::string> pages_;
-  std::mutex mu_;
 };
 
-// Partitioned redo must produce byte-identical state to the serial replay:
-// per-page LSN order is total within a worker, and pages are independent.
-TEST_F(RecoveryTest, ParallelRedoMatchesSerialReplay) {
-  auto log = LogManager::Open((dir_ / "wal").string());
-  ASSERT_TRUE(log.ok());
-  constexpr int kPages = 37;
-  constexpr int kRounds = 3;
-  TxnId txn = 1;
-  for (int r = 0; r < kRounds; ++r) {
+// Appends `rounds` committed transactions, each overwriting pages
+// first..first+pages-1 with a round-specific fill and a page-distinct stamp
+// at byte 7, so a stale image or a cross-page mixup can't go unnoticed.
+// Stores the LSN of the first record in *first_lsn when given.
+void AppendCommittedRounds(LogManager* log, int pages, int rounds,
+                           PageId first, Lsn* first_lsn = nullptr) {
+  for (int r = 0; r < rounds; ++r) {
+    const TxnId txn = static_cast<TxnId>(r + 1);
     LogRecord b;
     b.type = LogRecordType::kBegin;
     b.txn = txn;
-    auto prev = (*log)->Append(b);
+    auto prev = log->Append(b);
     ASSERT_TRUE(prev.ok());
+    if (r == 0 && first_lsn != nullptr) *first_lsn = *prev;
     Lsn p = *prev;
-    for (int i = 0; i < kPages; ++i) {
+    for (int i = 0; i < pages; ++i) {
       LogRecord w;
       w.type = LogRecordType::kPageWrite;
       w.txn = txn;
       w.prev_lsn = p;
-      w.page = PageAddr{1, 0, static_cast<PageId>(100 + i)};
+      w.page = PageAddr{1, 0, static_cast<PageId>(first + i)};
       w.before = std::string(kPageSize, static_cast<char>('a' + r));
       w.after = std::string(kPageSize, static_cast<char>('a' + r + 1));
-      // A page-distinct stamp so a cross-page mixup can't go unnoticed.
       w.after[7] = static_cast<char>(i);
-      auto lsn = (*log)->Append(w);
+      auto lsn = log->Append(w);
       ASSERT_TRUE(lsn.ok());
       p = *lsn;
     }
@@ -404,68 +400,80 @@ TEST_F(RecoveryTest, ParallelRedoMatchesSerialReplay) {
     c.type = LogRecordType::kCommit;
     c.txn = txn;
     c.prev_lsn = p;
-    auto commit = (*log)->AppendAndFlush(c);
-    ASSERT_TRUE(commit.ok());
-    txn++;
+    ASSERT_TRUE(log->AppendAndFlush(c).ok());
   }
+}
 
-  ConcurrentMemSink serial, parallel;
-  {
-    RecoveryOptions ro;
-    ro.redo_workers = 1;
-    RecoveryManager rec(log->get(), &serial, ro);
-    ASSERT_TRUE(rec.Run().ok());
-    EXPECT_EQ(rec.stats().redo_workers, 1);
-    EXPECT_EQ(rec.stats().redo_pages, uint64_t{kPages * kRounds});
-  }
-  {
-    RecoveryOptions ro;
-    ro.redo_workers = 4;
-    RecoveryManager rec(log->get(), &parallel, ro);
-    ASSERT_TRUE(rec.Run().ok());
-    EXPECT_EQ(rec.stats().redo_workers, 4);
-    EXPECT_EQ(rec.stats().redo_pages, uint64_t{kPages * kRounds});
-    EXPECT_EQ(rec.stats().loser_txns, 0u);
-  }
-  ASSERT_EQ(serial.pages_.size(), parallel.pages_.size());
-  EXPECT_TRUE(serial.pages_ == parallel.pages_);
+// Redo replays every round's image in LSN order: the last round's image
+// wins on every page, and each page keeps its own stamp.
+TEST_F(RecoveryTest, RedoReplaysLastImagePerPage) {
+  auto log = LogManager::Open((dir_ / "wal").string());
+  ASSERT_TRUE(log.ok());
+  constexpr int kPages = 37;
+  constexpr int kRounds = 3;
+  ASSERT_NO_FATAL_FAILURE(
+      AppendCommittedRounds(log->get(), kPages, kRounds, 100));
+
+  MemSink sink;
+  RecoveryManager rec(log->get(), &sink);
+  ASSERT_TRUE(rec.Run().ok());
+  EXPECT_EQ(rec.stats().redo_pages, uint64_t{kPages * kRounds});
+  EXPECT_EQ(rec.stats().loser_txns, 0u);
+  ASSERT_EQ(sink.pages_.size(), size_t{kPages});
   for (int i = 0; i < kPages; ++i) {
-    const auto it = parallel.pages_.find(
-        PageAddr{1, 0, static_cast<PageId>(100 + i)}.Pack());
-    ASSERT_NE(it, parallel.pages_.end());
+    const auto it =
+        sink.pages_.find(PageAddr{1, 0, static_cast<PageId>(100 + i)}.Pack());
+    ASSERT_NE(it, sink.pages_.end());
     EXPECT_EQ(it->second[0], 'a' + kRounds);  // last round's image won
     EXPECT_EQ(it->second[7], static_cast<char>(i));
   }
 }
 
-// A worker failure surfaces as the recovery error (first error wins) rather
-// than hanging the producer or the pool.
-TEST_F(RecoveryTest, ParallelRedoPropagatesSinkFailure) {
+// Restart reads the log once: one forward scan both rebuilds the
+// transaction table and repeats history. Each record costs a header and a
+// payload pread, so anything above 2 reads per record (plus the checkpoint
+// record behind the master) means a second pass crept back in.
+TEST_F(RecoveryTest, RestartReadsTheLogOnce) {
+  const std::string wal_dir = (dir_ / "wal").string();
+  auto log = LogManager::Open(wal_dir);
+  ASSERT_TRUE(log.ok());
+  Lsn first = kNullLsn;
+  ASSERT_NO_FATAL_FAILURE(
+      AppendCommittedRounds(log->get(), 37, 3, 100, &first));
+  LogRecord cp;
+  cp.type = LogRecordType::kCheckpoint;
+  cp.redo_floor = first;
+  auto cp_lsn = (*log)->AppendAndFlush(cp);
+  ASSERT_TRUE(cp_lsn.ok());
+  ASSERT_TRUE((*log)->SetCheckpointLsn(*cp_lsn).ok());
+
+  // A zero-latency schedule fires on every WAL read without changing it,
+  // so hits() counts the preads.
+  FaultSpec count_reads;
+  count_reads.action = fault::FaultAction::kLatency;
+  count_reads.latency_us = 0;
+  count_reads.detail_filter = wal_dir;
+  FaultRegistry::Instance().ResetCounters();
+  FaultRegistry::Instance().Arm("file.readat", count_reads);
+  MemSink sink;
+  RecoveryManager rec(log->get(), &sink);
+  ASSERT_TRUE(rec.Run().ok());
+  const uint64_t reads = FaultRegistry::Instance().hits("file.readat");
+  FaultRegistry::Instance().DisarmAll();
+
+  EXPECT_EQ(rec.stats().redo_start_lsn, first);
+  EXPECT_EQ(rec.stats().loser_txns, 0u);
+  const uint64_t records = rec.stats().records_scanned;
+  EXPECT_EQ(records, uint64_t{3 * (37 + 2) + 1});  // + the checkpoint
+  EXPECT_LE(reads, 2 * records + 4) << reads << " WAL reads for " << records
+                                    << " records";
+}
+
+// A failing PageSink surfaces as the recovery error.
+TEST_F(RecoveryTest, RedoPropagatesSinkFailure) {
   auto log = LogManager::Open((dir_ / "wal").string());
   ASSERT_TRUE(log.ok());
-  LogRecord b;
-  b.type = LogRecordType::kBegin;
-  b.txn = 1;
-  auto prev = (*log)->Append(b);
-  ASSERT_TRUE(prev.ok());
-  Lsn p = *prev;
-  for (int i = 0; i < 16; ++i) {
-    LogRecord w;
-    w.type = LogRecordType::kPageWrite;
-    w.txn = 1;
-    w.prev_lsn = p;
-    w.page = PageAddr{1, 0, static_cast<PageId>(200 + i)};
-    w.before = std::string(kPageSize, '0');
-    w.after = std::string(kPageSize, '1');
-    auto lsn = (*log)->Append(w);
-    ASSERT_TRUE(lsn.ok());
-    p = *lsn;
-  }
-  LogRecord c;
-  c.type = LogRecordType::kCommit;
-  c.txn = 1;
-  c.prev_lsn = p;
-  ASSERT_TRUE((*log)->AppendAndFlush(c).ok());
+  ASSERT_NO_FATAL_FAILURE(AppendCommittedRounds(log->get(), 16, 1, 200));
 
   class FailingSink : public PageSink {
    public:
@@ -474,9 +482,7 @@ TEST_F(RecoveryTest, ParallelRedoPropagatesSinkFailure) {
     }
     Status Sync() override { return Status::OK(); }
   } sink;
-  RecoveryOptions ro;
-  ro.redo_workers = 4;
-  RecoveryManager rec(log->get(), &sink, ro);
+  RecoveryManager rec(log->get(), &sink);
   Status st = rec.Run();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
