@@ -72,7 +72,7 @@ WorkloadResult RunClients(const std::string& server_path, int nclients,
             (void)(*client)->Abort();
           }
         }
-        total_rpcs.fetch_add((*client)->stats().rpcs);
+        total_rpcs.fetch_add((*client)->stats().counter("rpc.call"));
       });
     }
     for (auto& t : threads) t.join();
@@ -83,7 +83,8 @@ WorkloadResult RunClients(const std::string& server_path, int nclients,
   const int txns = done_txns.load();
   r.txn_per_sec = txns / secs;
   r.rpcs_per_txn = txns == 0 ? 0 : static_cast<double>(total_rpcs.load()) / txns;
-  r.callbacks = server1.callbacks_sent - server0.callbacks_sent;
+  r.callbacks = server1.counter("srv.callback.sent") -
+                server0.counter("srv.callback.sent");
   return r;
 }
 

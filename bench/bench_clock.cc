@@ -72,33 +72,34 @@ int main() {
       }
       // End of "transaction": use the hot set through Fix once and count
       // whether it had to be refetched.
-      const uint64_t misses_before = (*pool)->stats().misses;
+      const uint64_t misses_before = (*pool)->stats().counter("cache.miss");
       for (uint32_t h = 0; h < kHotPages; ++h) {
         auto addr = (*pool)->Fix(PageAddr{1, 0, h}, false);
         if (!addr.ok()) return 1;
         hot_ptrs[h] = static_cast<char*>(*addr);
       }
-      bess_hot_fetches += (*pool)->stats().misses - misses_before;
+      bess_hot_fetches +=
+          (*pool)->stats().counter("cache.miss") - misses_before;
     }
 
     // --- Baselines: raw touches never reach them. ------------------------------
     auto run_baseline = [&](PageCacheBase* cache) -> uint64_t {
       uint64_t hot_fetches = 0;
-      const uint64_t m0 = cache->stats().misses;
+      const uint64_t m0 = cache->stats().counter("cache.miss");
       for (uint32_t h = 0; h < kHotPages; ++h) {
         if (!cache->Fix(PageAddr{1, 0, h}, false).ok()) exit(1);
       }
-      hot_fetches += cache->stats().misses - m0;
+      hot_fetches += cache->stats().counter("cache.miss") - m0;
       for (int sweep = 0; sweep < kSweeps; ++sweep) {
         for (uint32_t p = kHotPages; p < kDbPages; ++p) {
           // (the raw hot touches happen here in reality — invisible)
           if (!cache->Fix(PageAddr{1, 0, p}, false).ok()) exit(1);
         }
-        const uint64_t m1 = cache->stats().misses;
+        const uint64_t m1 = cache->stats().counter("cache.miss");
         for (uint32_t h = 0; h < kHotPages; ++h) {
           if (!cache->Fix(PageAddr{1, 0, h}, false).ok()) exit(1);
         }
-        hot_fetches += cache->stats().misses - m1;
+        hot_fetches += cache->stats().counter("cache.miss") - m1;
       }
       return hot_fetches;
     };

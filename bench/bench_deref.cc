@@ -143,8 +143,10 @@ int main() {
   double cold_s = TimeIt([&] { sink += Traverse(*root, kHops / 10); });
   auto s1 = db->mapper()->stats();
   printf("bess cold                 %8.2f   %llu / %llu\n", cold_s * 1e3,
-         static_cast<unsigned long long>(s1.slotted_faults - s0.slotted_faults),
-         static_cast<unsigned long long>(s1.data_faults - s0.data_faults));
+         static_cast<unsigned long long>(s1.counter("vm.fault.slotted") -
+                                         s0.counter("vm.fault.slotted")),
+         static_cast<unsigned long long>(s1.counter("vm.fault.data") -
+                                         s0.counter("vm.fault.data")));
   double warm_again = TimeIt([&] { sink += Traverse(*root, kHops / 10); });
   printf("bess warm (same hops)     %8.2f   0 / 0\n", warm_again * 1e3);
 

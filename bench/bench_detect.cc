@@ -41,8 +41,8 @@ int main() {
     // --- Hardware: stores fault once per page; read-only touches free. ------
     {
       auto txn = db->Begin();
-      auto f0 = db->mapper()->stats().write_faults;
-      auto l0 = db->locks()->stats().acquires;
+      auto f0 = db->mapper()->stats().counter("vm.fault.detect");
+      auto l0 = db->locks()->stats().counter("txn.lock.acquire");
       int writes = 0;
       double secs = TimeIt([&] {
         for (int i = 0; i < kTouch; ++i) {
@@ -57,8 +57,8 @@ int main() {
           }
         }
       });
-      auto f1 = db->mapper()->stats().write_faults;
-      auto l1 = db->locks()->stats().acquires;
+      auto f1 = db->mapper()->stats().counter("vm.fault.detect");
+      auto l1 = db->locks()->stats().counter("txn.lock.acquire");
       (void)db->Commit(*txn);
       printf("hardware   (frac=%4.2f)     %6d   %6llu  %6llu  %6.1f\n",
              write_frac, writes, (unsigned long long)(f1 - f0),
@@ -88,7 +88,7 @@ int main() {
       auto txn = sw_db->Begin();
       Random rng2(9);
       int writes = 0;
-      auto l0 = sw_db->locks()->stats().acquires;
+      auto l0 = sw_db->locks()->stats().counter("txn.lock.acquire");
       double secs = TimeIt([&] {
         for (int i = 0; i < kTouch; ++i) {
           Slot* s = sw_parts[rng2.Uniform(sw_parts.size())];
@@ -105,7 +105,7 @@ int main() {
           }
         }
       });
-      auto l1 = sw_db->locks()->stats().acquires;
+      auto l1 = sw_db->locks()->stats().counter("txn.lock.acquire");
       (void)sw_db->Commit(*txn);
       printf("software   (frac=%4.2f)     %6d        0  %6llu  %6.1f\n",
              write_frac, writes, (unsigned long long)(l1 - l0), secs * 1e3);
@@ -113,7 +113,7 @@ int main() {
       // --- Conservative compiler: every touched object X-locked. ------------
       auto txn2 = sw_db->Begin();
       Random rng3(9);
-      auto c0 = sw_db->locks()->stats().acquires;
+      auto c0 = sw_db->locks()->stats().counter("txn.lock.acquire");
       double csecs = TimeIt([&] {
         for (int i = 0; i < kTouch; ++i) {
           Slot* s = sw_parts[rng3.Uniform(sw_parts.size())];
@@ -128,7 +128,7 @@ int main() {
           }
         }
       });
-      auto c1 = sw_db->locks()->stats().acquires;
+      auto c1 = sw_db->locks()->stats().counter("txn.lock.acquire");
       (void)sw_db->Commit(*txn2);
       printf("conservative (frac=%4.2f)   %6d        0  %6llu  %6.1f\n",
              write_frac, kTouch, (unsigned long long)(c1 - c0), csecs * 1e3);

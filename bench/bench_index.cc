@@ -150,7 +150,8 @@ int main() {
     const aio::AioStats aio = ix->async_io()->stats();
     aio_writes = aio.writes;
     aio_write_runs = aio.write_runs;
-    sync_writebacks += ix->table()->stats().sync_writebacks;
+    sync_writebacks +=
+        ix->table()->stats().counter("cache.evict.sync_writeback");
     ix_r->reset();
     if (!(*area)->Sync().ok()) return 1;
   }
@@ -198,11 +199,11 @@ int main() {
         });
       }));
       fault::FaultRegistry::Instance().DisarmAll();
-      const FrameTable::Stats ts = ix->table()->stats();
+      const Stats ts = ix->table()->stats();
       scan_entries = entries;
-      index_pages = ts.scan_pages;
-      scan_staged = ts.scan_staged;
-      sync_writebacks += ts.sync_writebacks;
+      index_pages = ts.counter("cache.scan.pages");
+      scan_staged = ts.counter("cache.scan.staged");
+      sync_writebacks += ts.counter("cache.evict.sync_writeback");
       ix_r->reset();
     }
     std::sort(runs.begin(), runs.end());
@@ -260,7 +261,7 @@ int main() {
                               });
       }));
       fault::FaultRegistry::Instance().DisarmAll();
-      sync_writebacks += table.stats().sync_writebacks;
+      sync_writebacks += table.stats().counter("cache.evict.sync_writeback");
       table.Stop();
     }
     std::sort(runs.begin(), runs.end());

@@ -37,8 +37,9 @@ RunResult Run(bool greedy, const std::string& dir, int touch_hops) {
   const double secs = TimeIt([&] { sink += Traverse(*root, touch_hops); });
   (void)sink;
   auto stats = (*db)->mapper()->stats();
-  return RunResult{stats.reserved_bytes >> 20, stats.committed_bytes >> 20,
-                   stats.slotted_faults, secs};
+  return RunResult{stats.counter("vm.reserved.bytes") >> 20,
+                   stats.counter("vm.committed.bytes") >> 20,
+                   stats.counter("vm.fault.slotted"), secs};
 }
 
 }  // namespace

@@ -138,9 +138,9 @@ ScanResult RunPush(AreaSegmentStore* store, uint32_t depth) {
   const aio::AioStats stats = (*aio_io)->stats();
   r.overlap_ratio = (stats.io_busy_ns * 1e-9) / secs;
   r.read_runs = stats.read_runs;
-  const FrameTable::Stats ts = table.stats();
-  r.staged = ts.scan_staged;
-  r.fallbacks = ts.scan_fallbacks;
+  const Stats ts = table.stats();
+  r.staged = ts.counter("cache.scan.staged");
+  r.fallbacks = ts.counter("cache.scan.fallback");
   table.Stop();
   return r;
 }
@@ -234,21 +234,23 @@ int main() {
     if (!table.MarkDirty(r->frame, p + 1).ok()) return 1;
   }
   for (int spin = 0; spin < 5000; ++spin) {
-    if (table.stats().bgwriter_flushed >= kDirtyPages) break;
+    if (table.stats().counter("cache.bgwriter.flushed") >= kDirtyPages) break;
     ::usleep(1000);
   }
-  const FrameTable::Stats bg = table.stats();
+  const Stats bg = table.stats();
   const uint64_t gates = gate_io.gates();
   // Churn reads past capacity: evictions must find bgwriter-cleaned frames,
   // never paying a sync write-back on the demand path.
   for (uint32_t p = kDirtyPages; p < kScanPages; ++p) {
     if (!table.Fix(Key(p), false).ok()) return 1;
   }
-  const uint64_t sync_wb = table.stats().sync_writebacks;
+  const uint64_t sync_wb = table.stats().counter("cache.evict.sync_writeback");
   printf("\nbgwriter: %llu pages flushed in %llu async batches, %llu WAL "
          "gates, %llu sync evict write-backs\n",
-         static_cast<unsigned long long>(bg.bgwriter_flushed),
-         static_cast<unsigned long long>(bg.async_flush_batches),
+         static_cast<unsigned long long>(
+             bg.counter("cache.bgwriter.flushed")),
+         static_cast<unsigned long long>(
+             bg.counter("cache.bgwriter.async_batch")),
          static_cast<unsigned long long>(gates),
          static_cast<unsigned long long>(sync_wb));
   table.Stop();
@@ -298,8 +300,10 @@ int main() {
                 ? static_cast<double>(kScanPages) / read_runs_qd8
                 : 0.0,
             checksums_ok ? 1 : 0,
-            static_cast<unsigned long long>(bg.bgwriter_flushed),
-            static_cast<unsigned long long>(bg.async_flush_batches),
+            static_cast<unsigned long long>(
+                bg.counter("cache.bgwriter.flushed")),
+            static_cast<unsigned long long>(
+                bg.counter("cache.bgwriter.async_batch")),
             static_cast<unsigned long long>(gates),
             static_cast<unsigned long long>(sync_wb),
             aio::AsyncFileEngine::UringSupported() ? 1 : 0);

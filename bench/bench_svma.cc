@@ -97,14 +97,14 @@ int main() {
 
   // Second chance: protected frame re-enabled via a single mprotect.
   if (!(*space)->RunClockLevel1().ok()) return 1;  // all accessible->protected
-  const auto before = (*space)->stats().second_chances;
+  const auto before = (*space)->stats().counter("cache.second_chance");
   double second = TimeIt([&] {
     for (uint32_t p = 0; p < kPages; ++p) {
       auto addr = (*space)->Fix(PageAddr{1, 0, p}, false);
       if (!addr.ok()) exit(1);
     }
   });
-  const auto taken = (*space)->stats().second_chances - before;
+  const auto taken = (*space)->stats().counter("cache.second_chance") - before;
   printf("second chance (protected -> accessible) %7.0f   (%llu taken)\n",
          second / kPages * 1e9, (unsigned long long)taken);
 

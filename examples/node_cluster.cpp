@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   if (!(*a)->Commit().ok()) return 1;
   printf("client A wrote value 42 (server sent %llu callbacks to reclaim "
          "conflicting cached locks)\n",
-         (unsigned long long)server1.stats().callbacks_sent);
+         (unsigned long long)server1.stats().counter("srv.callback.sent"));
 
   if (!(*b)->Begin().ok()) return 1;
   auto reread = (*b)->GetRoot("design");

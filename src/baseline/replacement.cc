@@ -14,21 +14,12 @@ ClassicPool::ClassicPool(uint32_t frame_count, SegmentStore* store,
                          const std::string& policy)
     : placement_(frame_count),
       io_(store),
-      table_(MakeOptions(frame_count, policy), &placement_, &io_),
+      table_(MakeOptions(frame_count, policy), &placement_, &io_, &scope_),
       init_(table_.Init()) {}
-
-void ClassicPool::RefreshStats() {
-  const FrameTable::Stats t = table_.stats();
-  stats_.fixes = t.fixes;
-  stats_.hits = t.hits;
-  stats_.misses = t.misses;
-  stats_.evictions = t.evictions;
-}
 
 Result<void*> ClassicPool::Fix(PageAddr page, bool for_write) {
   BESS_RETURN_IF_ERROR(init_);
   auto r = table_.Fix(page.Pack(), for_write);
-  RefreshStats();
   BESS_RETURN_IF_ERROR(r.status());
   return r->data;
 }

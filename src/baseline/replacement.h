@@ -27,21 +27,14 @@ namespace bess {
 /// Common interface so the bench can drive every cache identically.
 class PageCacheBase {
  public:
-  struct Stats {
-    uint64_t fixes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-
   virtual ~PageCacheBase() = default;
   /// Explicit page access (the only signal these baselines receive).
   virtual Result<void*> Fix(PageAddr page, bool for_write) = 0;
   virtual Status FlushDirty() = 0;
-  const Stats& stats() const { return stats_; }
+  Stats stats() const { return scope_.Snapshot(); }
 
  protected:
-  Stats stats_;
+  obs::Scope scope_;
 };
 
 /// A frame-core configuration with heap frames and a classic policy.
@@ -55,7 +48,6 @@ class ClassicPool : public PageCacheBase {
  private:
   static FrameTable::Options MakeOptions(uint32_t frame_count,
                                          const std::string& policy);
-  void RefreshStats();
 
   HeapPlacement placement_;
   StorePageIo io_;

@@ -38,8 +38,13 @@ class MapDirectory : public FrameTable::Directory {
 
 }  // namespace
 
-FrameTable::FrameTable(const Options& opts, Placement* placement, PageIo* io)
-    : opts_(opts), placement_(placement), io_(io) {}
+FrameTable::FrameTable(const Options& opts, Placement* placement, PageIo* io,
+                       obs::Scope* scope)
+    : opts_(opts),
+      placement_(placement),
+      io_(io),
+      own_scope_(scope == nullptr ? std::make_unique<obs::Scope>() : nullptr),
+      scope_(scope != nullptr ? *scope : *own_scope_) {}
 
 FrameTable::~FrameTable() { Stop(); }
 
@@ -152,7 +157,7 @@ Status FrameTable::MarkDirtyLocked(uint32_t f, uint64_t lsn) {
       SetState(f, FrameState::kDirty);
       // Software flavour of the write-detection event the fault path
       // counts for hardware detection (§2.3).
-      BESS_COUNT("vm.fault.detect");
+      BESS_COUNT_IN(scope_, "vm.fault.detect");
       break;
     case FrameState::kDirty:
       break;
@@ -196,8 +201,7 @@ Status FrameTable::EvictLocked(uint32_t f) {
   SetState(f, FrameState::kEvicting);
   const uint64_t old_key = m.page_key.load(std::memory_order_acquire);
   if (m.prefetched.exchange(0, std::memory_order_relaxed) != 0) {
-    stats_.prefetch_wasted++;
-    BESS_COUNT("cache.prefetch.wasted");
+    BESS_COUNT_IN(scope_, "cache.prefetch.wasted");
   }
   if (old_key != 0) dir_->Erase(old_key, f);
   Status es = placement_->OnEvict(f);
@@ -207,8 +211,7 @@ Status FrameTable::EvictLocked(uint32_t f) {
   SetState(f, FrameState::kFree);
   policy_->OnEvict(f);
   if (old_key != 0) {
-    stats_.evictions++;
-    BESS_COUNT("cache.eviction");
+    BESS_COUNT_IN(scope_, "cache.eviction");
   }
   // A frame just became free: a foreground pressure-waiter blocked on
   // cleaned_cv_ may now have a victim — or, if this was the last unpinned
@@ -283,14 +286,11 @@ Status FrameTable::WriteBackLocked(uint32_t f,
   }
   (void)placement_->FinishWriteback(f, true);
   m.writer.store(0, std::memory_order_release);
-  stats_.writebacks++;
-  BESS_COUNT("cache.writeback");
+  BESS_COUNT_IN(scope_, "cache.writeback");
   if (mode == WritebackMode::kSyncEvict) {
-    stats_.sync_writebacks++;
-    BESS_COUNT("cache.evict.sync_writeback");
+    BESS_COUNT_IN(scope_, "cache.evict.sync_writeback");
   } else if (mode == WritebackMode::kBackground) {
-    stats_.bgwriter_flushed++;
-    BESS_COUNT("cache.bgwriter.flushed");
+    BESS_COUNT_IN(scope_, "cache.bgwriter.flushed");
   }
   cleaned_cv_.notify_all();
   load_cv_.notify_all();
@@ -346,8 +346,7 @@ Result<uint32_t> FrameTable::AcquireFrameLocked(
         if (!any_cleanable()) break;
         urgent_flush_ = true;
         bg_cv_.notify_all();
-        stats_.pressure_waits++;
-        BESS_COUNT("cache.bgwriter.pressure_wait");
+        BESS_COUNT_IN(scope_, "cache.bgwriter.pressure_wait");
         // Predicate wait, not a bare timed sleep: the state this waiter
         // cares about can change without a write-back completing — the
         // last unpinned dirty frame can get pinned (waiting is then
@@ -380,7 +379,7 @@ Result<FrameTable::FixResult> FrameTable::Fix(uint64_t key, bool for_write,
                                               bool pin) {
   if (key == 0) return Status::InvalidArgument("null page key");
   std::unique_lock<std::mutex> lk(mu_);
-  stats_.fixes++;
+  BESS_COUNT_IN(scope_, "cache.fix");
   for (;;) {
     const uint32_t f = dir_->Lookup(key);
     if (f == kNoFrame) break;
@@ -403,8 +402,7 @@ Result<FrameTable::FixResult> FrameTable::Fix(uint64_t key, bool for_write,
     if (st == FrameState::kFree || st == FrameState::kEvicting) break;
     // Hit.
     if (m.prefetched.exchange(0, std::memory_order_relaxed) != 0) {
-      stats_.prefetch_hits++;
-      BESS_COUNT("cache.prefetch.hits");
+      BESS_COUNT_IN(scope_, "cache.prefetch.hits");
       FeedPrefetchLocked(key, 1);
     }
     policy_->OnAccess(f);
@@ -419,8 +417,7 @@ Result<FrameTable::FixResult> FrameTable::Fix(uint64_t key, bool for_write,
         cleaned_cv_.notify_all();
       }
     }
-    stats_.hits++;
-    BESS_COUNT("cache.hit");
+    BESS_COUNT_IN(scope_, "cache.hit");
     return FixResult{f, placement_->frame_data(f), true};
   }
 
@@ -455,8 +452,7 @@ Result<FrameTable::FixResult> FrameTable::Fix(uint64_t key, bool for_write,
   BESS_RETURN_IF_ERROR(placement_->FinishLoad(f, for_write));
   policy_->OnInsert(f);
   if (pin) m.pins.fetch_add(1, std::memory_order_acq_rel);
-  stats_.misses++;
-  BESS_COUNT("cache.miss");
+  BESS_COUNT_IN(scope_, "cache.miss");
   load_cv_.notify_all();
   return FixResult{f, placement_->frame_data(f), false};
 }
@@ -533,22 +529,21 @@ void FrameTable::CollectDirty(
 bool FrameTable::Get(uint64_t key, void* out) {
   if (key == 0) return false;
   std::lock_guard<std::mutex> guard(mu_);
-  stats_.fixes++;
+  BESS_COUNT_IN(scope_, "cache.fix");
   const uint32_t f = dir_->Lookup(key);
   if (f == kNoFrame || meta_[f].page_key.load(std::memory_order_acquire) != key) {
-    stats_.misses++;
+    BESS_COUNT_IN(scope_, "cache.miss");
     return false;
   }
   const FrameState st = StateOf(f);
   if (st == FrameState::kFree || st == FrameState::kLoading ||
       st == FrameState::kEvicting) {
-    stats_.misses++;
+    BESS_COUNT_IN(scope_, "cache.miss");
     return false;
   }
   memcpy(out, placement_->frame_data(f), kPageSize);
   policy_->OnAccess(f);
-  stats_.hits++;
-  BESS_COUNT("cache.hit");
+  BESS_COUNT_IN(scope_, "cache.hit");
   return true;
 }
 
@@ -670,13 +665,8 @@ Status FrameTable::ScanOrdered(uint32_t count,
       Status cs = consume(key, r.data);
       (void)Unpin(r.frame);
       BESS_RETURN_IF_ERROR(cs);
-      {
-        std::lock_guard<std::mutex> guard(mu_);
-        stats_.scan_pages++;
-        stats_.scan_fallbacks++;
-      }
-      BESS_COUNT("cache.scan.pages");
-      BESS_COUNT("cache.scan.fallback");
+      BESS_COUNT_IN(scope_, "cache.scan.pages");
+      BESS_COUNT_IN(scope_, "cache.scan.fallback");
     }
     return Status::OK();
   }
@@ -715,12 +705,11 @@ Status FrameTable::ScanOrdered(uint32_t count,
       }
       aio_inflight_ += n;
       scan_inflight_ += n;
-      stats_.scan_staged += n;
       BESS_HIST("cache.scan.depth", scan_inflight_);
       next_idx += n;
       lk.unlock();
       const Status ss = aio_->Submit(reqs.data(), n);
-      BESS_COUNT_N("cache.scan.staged", n);
+      BESS_COUNT_N_IN(scope_, "cache.scan.staged", n);
       lk.lock();
       if (!ss.ok()) {
         for (uint32_t i = 0; i < n; ++i) {
@@ -768,11 +757,9 @@ Status FrameTable::ScanOrdered(uint32_t count,
           meta_[f].pins.fetch_add(1, std::memory_order_acq_rel);
           if (meta_[f].prefetched.exchange(0, std::memory_order_relaxed) !=
               0) {
-            stats_.prefetch_hits++;
-            BESS_COUNT("cache.prefetch.hits");
+            BESS_COUNT_IN(scope_, "cache.prefetch.hits");
           }
-          stats_.scan_pages++;
-          BESS_COUNT("cache.scan.pages");
+          BESS_COUNT_IN(scope_, "cache.scan.pages");
           lk.unlock();
           const Status cs = consume(key, placement_->frame_data(f));
           lk.lock();
@@ -793,8 +780,7 @@ Status FrameTable::ScanOrdered(uint32_t count,
       // that fails too, fall back to a demand fix — the pull path.
       stage();
       if (dir_->Lookup(key) != kNoFrame) continue;
-      stats_.scan_fallbacks++;
-      BESS_COUNT("cache.scan.fallback");
+      BESS_COUNT_IN(scope_, "cache.scan.fallback");
       lk.unlock();
       auto r = Fix(key, /*for_write=*/false, /*pin=*/true);
       if (!r.ok()) {
@@ -805,8 +791,7 @@ Status FrameTable::ScanOrdered(uint32_t count,
       const Status cs = consume(key, r->data);
       (void)Unpin(r->frame);
       lk.lock();
-      stats_.scan_pages++;
-      BESS_COUNT("cache.scan.pages");
+      BESS_COUNT_IN(scope_, "cache.scan.pages");
       if (!cs.ok()) {
         drain();
         return cs;
@@ -817,11 +802,6 @@ Status FrameTable::ScanOrdered(uint32_t count,
   }
   drain();
   return Status::OK();
-}
-
-FrameTable::Stats FrameTable::stats() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return stats_;
 }
 
 // ---- prefetch ---------------------------------------------------------------
@@ -921,8 +901,7 @@ void FrameTable::DoPrefetchLocked(std::unique_lock<std::mutex>& lk) {
         meta_[f].prefetched.store(1, std::memory_order_relaxed);
         // No policy OnInsert: an undemanded page should rank coldest so
         // wasted prefetches recycle first.
-        stats_.prefetch_issued++;
-        BESS_COUNT("cache.prefetch.issued");
+        BESS_COUNT_IN(scope_, "cache.prefetch.issued");
       } else {
         dir_->Erase(first + i, f);
         meta_[f].page_key.store(0, std::memory_order_release);
@@ -1001,8 +980,7 @@ void FrameTable::ProcessAioLocked(
         m.prefetched.store(1, std::memory_order_relaxed);
         // No policy OnInsert: an undemanded page should rank coldest so
         // wasted speculative loads recycle first.
-        stats_.prefetch_issued++;
-        BESS_COUNT("cache.prefetch.issued");
+        BESS_COUNT_IN(scope_, "cache.prefetch.issued");
       } else {
         // Unwind exactly like a failed demand load: the next Fix of this
         // key misses and surfaces the store error on its own fetch.
@@ -1025,10 +1003,8 @@ void FrameTable::ProcessAioLocked(
         }
         (void)placement_->FinishWriteback(f, true);
         m.writer.store(0, std::memory_order_release);
-        stats_.writebacks++;
-        BESS_COUNT("cache.writeback");
-        stats_.bgwriter_flushed++;
-        BESS_COUNT("cache.bgwriter.flushed");
+        BESS_COUNT_IN(scope_, "cache.writeback");
+        BESS_COUNT_IN(scope_, "cache.bgwriter.flushed");
         if (now_clean && opts_.on_cleaned) {
           cleaned->emplace_back(p.key, cleaned_rec_lsn);
           cleaning_.emplace_back(p.key, cleaned_rec_lsn);
@@ -1037,8 +1013,7 @@ void FrameTable::ProcessAioLocked(
         if (m.State() == FrameState::kWriting) SetState(f, FrameState::kDirty);
         (void)placement_->FinishWriteback(f, false);
         m.writer.store(0, std::memory_order_release);
-        stats_.bgwriter_errors++;
-        BESS_COUNT("cache.bgwriter.error");
+        BESS_COUNT_IN(scope_, "cache.bgwriter.error");
       }
     }
   }
@@ -1104,8 +1079,7 @@ void FrameTable::BgFlushRoundLocked(std::unique_lock<std::mutex>& lk) {
   if (cand.empty()) return;
   if (aio_ != nullptr) {
     AsyncBgFlushBatchLocked(lk, cand);
-    stats_.bgwriter_rounds++;
-    BESS_COUNT("cache.bgwriter.round");
+    BESS_COUNT_IN(scope_, "cache.bgwriter.round");
     return;
   }
   uint64_t max_lsn = 0;
@@ -1122,8 +1096,7 @@ void FrameTable::BgFlushRoundLocked(std::unique_lock<std::mutex>& lk) {
     const Status ws = io_->EnsureWalDurable(max_lsn);
     lk.lock();
     if (!ws.ok()) {
-      stats_.bgwriter_errors++;
-      BESS_COUNT("cache.bgwriter.error");
+      BESS_COUNT_IN(scope_, "cache.bgwriter.error");
       return;
     }
   }
@@ -1134,14 +1107,12 @@ void FrameTable::BgFlushRoundLocked(std::unique_lock<std::mutex>& lk) {
     if (!ws.ok()) {
       // The frame stays dirty; the store may recover (transient injected
       // faults) — keep the thread alive and retry on a later round.
-      stats_.bgwriter_errors++;
-      BESS_COUNT("cache.bgwriter.error");
+      BESS_COUNT_IN(scope_, "cache.bgwriter.error");
       break;
     }
     ++flushed;
   }
-  stats_.bgwriter_rounds++;
-  BESS_COUNT("cache.bgwriter.round");
+  BESS_COUNT_IN(scope_, "cache.bgwriter.round");
   if (flushed != 0) BESS_HIST("cache.bgwriter.batch_size", flushed);
 }
 
@@ -1223,13 +1194,11 @@ void FrameTable::AsyncBgFlushBatchLocked(std::unique_lock<std::mutex>& lk,
       (void)placement_->FinishWriteback(f, false);
       meta_[f].writer.store(0, std::memory_order_release);
     }
-    stats_.bgwriter_errors++;
-    BESS_COUNT("cache.bgwriter.error");
+    BESS_COUNT_IN(scope_, "cache.bgwriter.error");
     cleaned_cv_.notify_all();
     return;
   }
-  stats_.async_flush_batches++;
-  BESS_COUNT("cache.bgwriter.async_batch");
+  BESS_COUNT_IN(scope_, "cache.bgwriter.async_batch");
   BESS_HIST("cache.bgwriter.batch_size", n);
 }
 

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "cache/replacement_policy.h"
+#include "obs/scope.h"
 #include "os/async_io.h"
 #include "os/latch.h"
 #include "storage/storage_area.h"
@@ -245,26 +246,6 @@ class FrameTable {
     std::function<void(uint64_t key, uint64_t rec_lsn)> on_cleaned;
   };
 
-  struct Stats {
-    uint64_t fixes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t writebacks = 0;        ///< all dirty write-backs
-    uint64_t sync_writebacks = 0;   ///< paid on the foreground evict path
-    uint64_t bgwriter_flushed = 0;
-    uint64_t bgwriter_rounds = 0;
-    uint64_t bgwriter_errors = 0;
-    uint64_t prefetch_issued = 0;
-    uint64_t prefetch_hits = 0;
-    uint64_t prefetch_wasted = 0;
-    uint64_t pressure_waits = 0;    ///< foreground waited for the bgwriter
-    uint64_t async_flush_batches = 0;  ///< bgwriter batches submitted async
-    uint64_t scan_pages = 0;        ///< pages delivered by ScanRange
-    uint64_t scan_staged = 0;       ///< scan reads pushed ahead of consume
-    uint64_t scan_fallbacks = 0;    ///< scan pages that fell back to Fix
-  };
-
   struct FixResult {
     uint32_t frame = kNoFrame;
     void* data = nullptr;
@@ -272,8 +253,11 @@ class FrameTable {
   };
 
   /// `io` may be null for put/get-style caches that never fetch or write
-  /// back (misses zero-fill, dirty frames are dropped on evict).
-  FrameTable(const Options& opts, Placement* placement, PageIo* io);
+  /// back (misses zero-fill, dirty frames are dropped on evict). A wrapper
+  /// that counts events of its own hands its `scope` (which must outlive
+  /// the table) so one snapshot covers both; otherwise the table owns one.
+  FrameTable(const Options& opts, Placement* placement, PageIo* io,
+             obs::Scope* scope = nullptr);
   ~FrameTable();
   FrameTable(const FrameTable&) = delete;
   FrameTable& operator=(const FrameTable&) = delete;
@@ -357,7 +341,8 @@ class FrameTable {
 
   FrameMeta* meta(uint32_t f) const { return meta_ + f; }
   char* frame_data(uint32_t f) { return placement_->frame_data(f); }
-  Stats stats() const;
+  /// The table's scope (cache.* counters; a wrapper's events included).
+  Stats stats() const { return scope_.Snapshot(); }
   uint32_t frame_count() const { return opts_.frame_count; }
   const char* policy_name() const { return policy_->name(); }
 
@@ -457,7 +442,8 @@ class FrameTable {
   /// returned yet (guarded by mu_); CollectDirty reports them.
   std::vector<std::pair<uint64_t, uint64_t>> cleaning_;
 
-  Stats stats_;
+  std::unique_ptr<obs::Scope> own_scope_;  ///< when no wrapper hands one
+  obs::Scope& scope_;
 };
 
 /// Plain heap placement: no protection, no faults — for caches that only

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "obs/metrics.h"
+#include "obs/scope.h"
 #include "os/vmem.h"
 #include "util/logging.h"
 
@@ -35,7 +35,7 @@ Status PrivateBufferPool::PoolPlacement::OnAccess(uint32_t f, bool dirty) {
   pool_->prot_[f].store(kOpen, std::memory_order_relaxed);
   BESS_RETURN_IF_ERROR(vmem::Protect(pool_->FrameAddr(f), kPageSize,
                                      dirty ? vmem::kReadWrite : vmem::kRead));
-  pool_->second_chances_.fetch_add(1, std::memory_order_relaxed);
+  BESS_COUNT_IN(pool_->scope_, "cache.second_chance");
   return Status::OK();
 }
 
@@ -113,7 +113,7 @@ Status PrivateBufferPool::Init() {
   topts.enable_bgwriter = options_.enable_bgwriter;
   topts.bgwriter_interval_ms = options_.bgwriter_interval_ms;
   topts.enable_prefetch = options_.enable_prefetch;
-  table_.reset(new FrameTable(topts, &placement_, &store_io_));
+  table_.reset(new FrameTable(topts, &placement_, &store_io_, &scope_));
   // Fault routing must be live before the table's background services
   // start touching protection state.
   dispatcher_slot_ = FaultDispatcher::Instance().RegisterRange(
@@ -161,20 +161,6 @@ bool PrivateBufferPool::OnFault(void* addr, bool is_write) {
   }
   // Readable frame faulted: the first store — software update detection.
   return table_->MarkDirty(f).ok();
-}
-
-PrivateBufferPool::Stats PrivateBufferPool::stats() const {
-  const FrameTable::Stats t = table_->stats();
-  Stats s;
-  s.fixes = t.fixes;
-  s.hits = t.hits;
-  s.misses = t.misses;
-  s.evictions = t.evictions;
-  s.dirty_writebacks = t.writebacks;
-  s.second_chances = second_chances_.load(std::memory_order_relaxed);
-  s.sync_writebacks = t.sync_writebacks;
-  s.bgwriter_flushed = t.bgwriter_flushed;
-  return s;
 }
 
 }  // namespace bess

@@ -37,17 +37,6 @@ namespace bess {
 
 class PrivateBufferPool : public FaultRangeOwner {
  public:
-  struct Stats {
-    uint64_t fixes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t dirty_writebacks = 0;
-    uint64_t second_chances = 0;
-    uint64_t sync_writebacks = 0;   ///< write-backs paid on the fault path
-    uint64_t bgwriter_flushed = 0;
-  };
-
   /// Frame-core knobs exposed to pool users (bench_modes drives the
   /// bgwriter comparison through these).
   struct Options {
@@ -83,7 +72,8 @@ class PrivateBufferPool : public FaultRangeOwner {
 
   bool OnFault(void* addr, bool is_write) override;
 
-  Stats stats() const;
+  /// The table's cache.* counters plus the pool's cache.second_chance.
+  Stats stats() const { return scope_.Snapshot(); }
   uint32_t frame_count() const { return frame_count_; }
   FrameTable* table() { return table_.get(); }
 
@@ -132,7 +122,7 @@ class PrivateBufferPool : public FaultRangeOwner {
   /// clock). Written under the table mutex before the mprotect that makes
   /// it observable; read lock-free on the fault path.
   std::unique_ptr<std::atomic<uint8_t>[]> prot_;
-  std::atomic<uint64_t> second_chances_{0};
+  obs::Scope scope_;  ///< shared with table_
   PoolPlacement placement_;
   std::unique_ptr<FrameTable> table_;
 };

@@ -5,7 +5,7 @@
 #include <string.h>
 #include <unistd.h>
 
-#include "obs/metrics.h"
+#include "obs/scope.h"
 #include "os/vmem.h"
 #include "util/logging.h"
 
@@ -286,7 +286,7 @@ Status SharedPageSpace::Init() {
   topts.enable_bgwriter = options_.enable_bgwriter;
   topts.bgwriter_interval_ms = options_.bgwriter_interval_ms;
   topts.enable_prefetch = options_.enable_prefetch;
-  table_.reset(new FrameTable(topts, &placement_, &store_io_));
+  table_.reset(new FrameTable(topts, &placement_, &store_io_, &scope_));
   BESS_RETURN_IF_ERROR(table_->Init());
 
   dispatcher_slot_ = FaultDispatcher::Instance().RegisterRange(
@@ -349,19 +349,17 @@ Status SharedPageSpace::MapIn(SmtEntry* entry, uint32_t vframe) {
 
 Result<void*> SharedPageSpace::Fix(PageAddr page, bool for_write) {
   std::lock_guard<std::mutex> guard(mu_);
-  stats_.fixes++;
   BESS_ASSIGN_OR_RETURN(SmtEntry * entry, cache_.AssignEntry(page.Pack()));
   const uint32_t vframe = entry->vframe.load(std::memory_order_relaxed);
   void* addr = pvma_base_ + static_cast<size_t>(vframe) * kPageSize;
 
   if (frame_state_[vframe] == kAccessible) {
-    stats_.hits++;
-    BESS_COUNT("cache.hit");
+    BESS_COUNT_IN(scope_, "cache.hit");
   } else if (frame_state_[vframe] == kProtected) {
     // Second chance: the binding is intact, only access was revoked.
     BESS_RETURN_IF_ERROR(vmem::Protect(addr, kPageSize, vmem::kReadWrite));
     frame_state_[vframe] = kAccessible;
-    stats_.second_chances++;
+    BESS_COUNT_IN(scope_, "cache.second_chance");
   } else {
     BESS_RETURN_IF_ERROR(MapIn(entry, vframe));
   }
@@ -409,7 +407,7 @@ Status SharedPageSpace::RunClockLevel1(uint32_t frames) {
 Status SharedPageSpace::RunClockLevel1Locked(uint32_t frames) {
   const uint32_t vframes = cache_.header()->vframe_count;
   if (frames == 0 || frames > vframes) frames = vframes;
-  stats_.clock_sweeps++;
+  BESS_COUNT_IN(scope_, "cache.clock.sweep");
   for (uint32_t i = 0; i < frames; ++i) {
     const uint32_t vf = local_hand_;
     local_hand_ = (local_hand_ + 1) % vframes;
@@ -451,7 +449,7 @@ Status SharedPageSpace::ResolveFrameFault(uint32_t vframe) {
   if (frame_state_[vframe] == kProtected) {
     BESS_RETURN_IF_ERROR(vmem::Protect(addr, kPageSize, vmem::kReadWrite));
     frame_state_[vframe] = kAccessible;
-    stats_.second_chances++;
+    BESS_COUNT_IN(scope_, "cache.second_chance");
     return Status::OK();
   }
   if (frame_state_[vframe] == kInvalid) {
@@ -460,19 +458,10 @@ Status SharedPageSpace::ResolveFrameFault(uint32_t vframe) {
       return Status::NotFound("fault on unassigned virtual frame");
     }
     BESS_RETURN_IF_ERROR(MapIn(entry, vframe));
-    stats_.remaps++;
+    BESS_COUNT_IN(scope_, "cache.remap");
     return Status::OK();
   }
   return Status::Internal("fault on accessible frame");
-}
-
-SharedPageSpace::Stats SharedPageSpace::stats() const {
-  Stats s = stats_;
-  const FrameTable::Stats t = table_->stats();
-  s.hits += t.hits;
-  s.misses += t.misses;
-  s.evictions += t.evictions;
-  return s;
 }
 
 }  // namespace bess

@@ -137,16 +137,6 @@ class SharedCache {
 /// core's pin counts from its bindings.
 class SharedPageSpace : public FaultRangeOwner {
  public:
-  struct Stats {
-    uint64_t fixes = 0;
-    uint64_t hits = 0;           ///< slot already in cache
-    uint64_t misses = 0;         ///< fetched from the store
-    uint64_t second_chances = 0; ///< protected frame re-enabled
-    uint64_t remaps = 0;         ///< invalid frame re-bound to a slot
-    uint64_t evictions = 0;      ///< level-2 replacements performed
-    uint64_t clock_sweeps = 0;
-  };
-
   /// Frame-core knobs (bench_modes drives the bgwriter comparison).
   struct Options {
     bool enable_bgwriter = false;
@@ -194,7 +184,10 @@ class SharedPageSpace : public FaultRangeOwner {
 
   bool OnFault(void* addr, bool is_write) override;
 
-  Stats stats() const;
+  /// The table's cache.* counters plus this process's level-1 clock:
+  /// cache.hit on an accessible frame, cache.second_chance, cache.remap,
+  /// cache.clock.sweep.
+  Stats stats() const { return scope_.Snapshot(); }
   char* pvma_base() const { return pvma_base_; }
   SharedCache* cache() { return &cache_; }
   FrameTable* table() { return table_.get(); }
@@ -261,6 +254,7 @@ class SharedPageSpace : public FaultRangeOwner {
   Options options_;
   SmtDirectory smt_dir_;
   SharedPlacement placement_;
+  obs::Scope scope_;  ///< shared with table_
   std::unique_ptr<FrameTable> table_;
   char* pvma_base_ = nullptr;
   size_t pvma_bytes_ = 0;
@@ -274,7 +268,6 @@ class SharedPageSpace : public FaultRangeOwner {
   std::vector<uint8_t> latched_;
   uint32_t local_hand_ = 0;
   std::mutex mu_;
-  Stats stats_;
 };
 
 }  // namespace bess

@@ -191,6 +191,11 @@ class Registry {
   Histogram histogram(std::string_view name) {
     return Histogram(CellsFor(name, MetricKind::kHistogram, kHistCells));
   }
+  /// The raw cell of a counter or gauge (what an instance scope mirrors
+  /// into; see obs/scope.h).
+  Cell* cell(std::string_view name, MetricKind kind) {
+    return CellsFor(name, kind, 1);
+  }
 
   /// Visits every live metric. `cells` has 1 cell for counters/gauges and
   /// kHistCells for histograms. Reads are relaxed; a snapshot taken during
@@ -222,10 +227,10 @@ class Registry {
 // Usable from the fault path: after first resolution the cost is one
 // relaxed fetch_add and no locks.
 
-#if BESS_METRICS_ENABLED
 #define BESS_OBS_CONCAT_IMPL_(a, b) a##b
 #define BESS_OBS_CONCAT_(a, b) BESS_OBS_CONCAT_IMPL_(a, b)
 
+#if BESS_METRICS_ENABLED
 #define BESS_COUNT_N(name, n)                                   \
   do {                                                          \
     static ::bess::obs::Counter BESS_OBS_CONCAT_(_bess_c_,      \

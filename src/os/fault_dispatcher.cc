@@ -89,7 +89,6 @@ FaultRangeOwner* FaultDispatcher::FindOwner(const void* addr) {
 bool FaultDispatcher::Dispatch(void* addr, bool is_write) {
   FaultRangeOwner* owner = FindOwner(addr);
   if (owner == nullptr) return false;
-  fault_count_.fetch_add(1, std::memory_order_relaxed);
   BESS_COUNT("vm.fault.dispatch");
   return owner->OnFault(addr, is_write);
 }

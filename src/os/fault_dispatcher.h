@@ -53,11 +53,6 @@ class FaultDispatcher {
   /// application code).
   void UnregisterRange(int id);
 
-  /// Total faults routed to owners since process start (for benches).
-  uint64_t fault_count() const {
-    return fault_count_.load(std::memory_order_relaxed);
-  }
-
   /// Looks up the owner of `addr`; nullptr if unowned. Also used by the
   /// unswizzler to map a virtual address back to its segment.
   FaultRangeOwner* FindOwner(const void* addr);
@@ -76,7 +71,6 @@ class FaultDispatcher {
 
   RangeSlot slots_[kMaxRanges];
   std::atomic<bool> installed_{false};
-  std::atomic<uint64_t> fault_count_{0};
 };
 
 }  // namespace bess

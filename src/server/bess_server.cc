@@ -13,7 +13,8 @@ constexpr size_t kAppliedCommitWindow = 1024;
 
 }  // namespace
 
-BessServer::BessServer(Options options) : core_(std::move(options), this) {}
+BessServer::BessServer(Options options)
+    : core_(std::move(options), this, &scope_) {}
 
 BessServer::~BessServer() { Stop(); }
 
@@ -47,8 +48,7 @@ Status BessServer::AdmitLogWork(Database* db) {
   // checkpoint has usually reclaimed space. A replay of an applied commit
   // never gets here (dedup window answered OK).
   if (!db->LogBackpressured()) return Status::OK();
-  stats_.shed_log_full.fetch_add(1, std::memory_order_relaxed);
-  BESS_COUNT("server.overload.shed.log_full");
+  BESS_COUNT_IN(scope_, "server.overload.shed.log_full");
   return Status::RetryLater("log full; retry after backoff");
 }
 
@@ -81,16 +81,14 @@ void BessServer::OnSessionClosed(Session& session) {
 
 Status BessServer::FinishLock(Session&, const SessionCore::LockWait&,
                               Status waited) {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  BESS_COUNT("srv.request");
-  stats_.lock_requests.fetch_add(1, std::memory_order_relaxed);
+  BESS_COUNT_IN(scope_, "srv.request");
+  BESS_COUNT_IN(scope_, "srv.lock.request");
   return waited;
 }
 
 Status BessServer::Handle(Session& session, const Message& msg,
                           std::string* reply, uint16_t*) {
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  BESS_COUNT("srv.request");
+  BESS_COUNT_IN(scope_, "srv.request");
   BESS_SPAN("srv.request.latency");
   Decoder dec(msg.payload);
 
@@ -123,7 +121,7 @@ Status BessServer::Handle(Session& session, const Message& msg,
       }
       PutFixed32(reply, pages);
       reply->append(buf.data(), static_cast<size_t>(pages) * kPageSize);
-      stats_.fetches.fetch_add(1, std::memory_order_relaxed);
+      BESS_COUNT_IN(scope_, "srv.fetch");
       return Status::OK();
     }
 
@@ -139,7 +137,7 @@ Status BessServer::Handle(Session& session, const Message& msg,
       reply->resize(static_cast<size_t>(count) * kPageSize);
       BESS_RETURN_IF_ERROR(
           db->ReadRawPages(area, first, count, reply->data()));
-      stats_.fetches.fetch_add(1, std::memory_order_relaxed);
+      BESS_COUNT_IN(scope_, "srv.fetch");
       return Status::OK();
     }
 
@@ -181,7 +179,7 @@ Status BessServer::Handle(Session& session, const Message& msg,
         if (shard.applied.count(ctid)) {
           // A replay of a commit we already applied (its reply was lost):
           // report the original outcome instead of applying twice.
-          stats_.commit_dedupes.fetch_add(1, std::memory_order_relaxed);
+          BESS_COUNT_IN(scope_, "srv.commit.dedupe");
           return Status::OK();
         }
       }
@@ -199,7 +197,7 @@ Status BessServer::Handle(Session& session, const Message& msg,
           shard.order.pop_front();
         }
       }
-      stats_.commits.fetch_add(1, std::memory_order_relaxed);
+      BESS_COUNT_IN(scope_, "srv.commit");
       return Status::OK();
     }
 
@@ -431,29 +429,6 @@ Status BessServer::Handle(Session& session, const Message& msg,
       return Status::Protocol("unknown request type " +
                               std::to_string(msg.type));
   }
-}
-
-BessServer::Stats BessServer::stats() const {
-  const SessionCore::Counters& c = core_.counters();
-  auto get = [](const std::atomic<uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
-  Stats out;
-  out.requests = get(stats_.requests);
-  out.fetches = get(stats_.fetches);
-  out.commits = get(stats_.commits);
-  out.commit_dedupes = get(stats_.commit_dedupes);
-  out.sessions_reaped = get(c.sessions_reaped);
-  out.lock_requests = get(stats_.lock_requests);
-  out.callbacks_sent = get(c.callbacks_sent);
-  out.callbacks_released = get(c.callbacks_released);
-  out.callbacks_denied = get(c.callbacks_denied);
-  out.callback_timeouts = get(c.callback_timeouts);
-  out.shed_deadline = get(c.shed_deadline);
-  out.shed_admission = get(c.shed_admission);
-  out.shed_log_full = get(stats_.shed_log_full);
-  out.conns_rejected = get(c.conns_rejected);
-  return out;
 }
 
 }  // namespace bess

@@ -39,27 +39,6 @@ class BessServer : private SessionCore::Handler {
  public:
   using Options = SessionCore::Options;
 
-  struct Stats {
-    uint64_t requests = 0;
-    uint64_t fetches = 0;
-    uint64_t commits = 0;
-    uint64_t commit_dedupes = 0;  ///< replayed commits answered from the window
-    uint64_t sessions_reaped = 0;  ///< dead sessions cleaned up
-    uint64_t lock_requests = 0;
-    uint64_t callbacks_sent = 0;
-    uint64_t callbacks_released = 0;
-    uint64_t callbacks_denied = 0;
-    /// Sessions torn down because a callback round trip timed out: the
-    /// holder is presumed dead and unwinds into presumed-abort cleanup.
-    uint64_t callback_timeouts = 0;
-    /// Overload sheds (DESIGN.md §12): every shed is a *reply* (never a
-    /// silent drop), so these reconcile against client-side counts.
-    uint64_t shed_deadline = 0;   ///< expired budget, kDeadlineExceeded
-    uint64_t shed_admission = 0;  ///< in-flight caps, kRetryLater
-    uint64_t shed_log_full = 0;   ///< WAL backpressure, kRetryLater
-    uint64_t conns_rejected = 0;  ///< closed at accept (max_connections)
-  };
-
   explicit BessServer(Options options);
   ~BessServer() override;
 
@@ -71,8 +50,10 @@ class BessServer : private SessionCore::Handler {
   void Stop();
 
   const std::string& socket_path() const { return core_.options().socket_path; }
-  Stats stats() const;
-  LockStats lock_stats() const { return core_.locks().stats(); }
+  /// srv.* request/commit/session/callback counters and the
+  /// server.overload.* sheds of this server (its SessionCore's included).
+  Stats stats() const { return scope_.Snapshot(); }
+  Stats lock_stats() const { return core_.locks().stats(); }
 
   /// Sessions currently registered (leak checks: must return to baseline
   /// after clients disconnect).
@@ -84,7 +65,7 @@ class BessServer : private SessionCore::Handler {
   using Session = SessionCore::Session;
 
   // Sessions live in the core. The ctid dedup window hashes over small
-  // per-shard mutexes, counters are relaxed atomics, and the database
+  // per-shard mutexes, counters are scope cells, and the database
   // registry is immutable once Start() has been called.
   static constexpr uint32_t kCommitShards = 8;
   struct CommitShard {
@@ -94,14 +75,6 @@ class BessServer : private SessionCore::Handler {
     /// reply was lost gets OK instead of a second application.
     std::unordered_set<uint64_t> applied;
     std::deque<uint64_t> order;
-  };
-  struct AtomicStats {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> fetches{0};
-    std::atomic<uint64_t> commits{0};
-    std::atomic<uint64_t> commit_dedupes{0};
-    std::atomic<uint64_t> lock_requests{0};
-    std::atomic<uint64_t> shed_log_full{0};
   };
 
   CommitShard& CommitShardFor(uint64_t ctid) {
@@ -130,7 +103,7 @@ class BessServer : private SessionCore::Handler {
   /// afterwards (Start()'s thread creation publishes it).
   std::unordered_map<uint16_t, Database*> databases_;
   CommitShard commit_shards_[kCommitShards];
-  mutable AtomicStats stats_;
+  obs::Scope scope_;
   SessionCore core_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 
-#include "obs/metrics.h"
 #include "segment/layout.h"
 
 namespace bess {
@@ -17,7 +16,7 @@ NodeServer::NodeServer(Options options)
     : options_(std::move(options)),
       core_(SessionCore::Options{.socket_path = options_.socket_path,
                                  .worker_threads = 2},
-            this) {}
+            this, &scope_) {}
 
 Result<std::unique_ptr<NodeServer>> NodeServer::Start(Options options) {
   auto node = std::unique_ptr<NodeServer>(new NodeServer(std::move(options)));
@@ -31,7 +30,7 @@ Result<std::unique_ptr<NodeServer>> NodeServer::Start(Options options) {
   copts.frame_count = frames;
   copts.policy = "lru2";
   node->page_cache_.reset(new FrameTable(copts, node->cache_placement_.get(),
-                                         /*io=*/nullptr));
+                                         /*io=*/nullptr, &node->scope_));
   BESS_RETURN_IF_ERROR(node->page_cache_->Init());
 
   // The node server is itself a client of the owning server (§3).
@@ -51,17 +50,16 @@ void NodeServer::Stop() {
 }
 
 NodeServer::Stats NodeServer::stats() const {
-  Stats out;
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  out.upstream_fetches = upstream_fetches_.load(std::memory_order_relaxed);
-  return out;
+  const ::bess::Stats s = scope_.Snapshot();
+  return Stats{.cache_hits = s.counter("node.cache.hit"),
+               .upstream_fetches = s.counter("node.upstream.fetch")};
 }
 
 // ---- requests -------------------------------------------------------------
 
 Status NodeServer::Handle(Session& session, const Message& msg,
                           std::string* reply, uint16_t*) {
-  BESS_COUNT("node.request");
+  BESS_COUNT_IN(scope_, "node.request");
   switch (msg.type) {
     case kMsgPing:  // liveness of the node itself
       reply->assign(msg.payload);
@@ -87,7 +85,7 @@ Status NodeServer::Handle(Session& session, const Message& msg,
 
 Status NodeServer::FinishLock(Session&, const SessionCore::LockWait& w,
                               Status waited) {
-  BESS_COUNT("node.request");
+  BESS_COUNT_IN(scope_, "node.request");
   if (!waited.ok()) return waited;
   // The local grant is in; the node must also hold a covering lock from
   // the owner. Looking it up under mu_ after the grant is what makes a
@@ -97,12 +95,12 @@ Status NodeServer::FinishLock(Session&, const SessionCore::LockWait& w,
     std::lock_guard<std::mutex> guard(mu_);
     auto it = node_locks_.find(w.key);
     if (it != node_locks_.end() && LockJoin(it->second, w.mode) == it->second) {
-      BESS_COUNT("node.lock.cache_hit");
+      BESS_COUNT_IN(scope_, "node.lock.cache_hit");
       return Status::OK();
     }
     epoch = epoch_.load();
   }
-  BESS_COUNT("node.lock.forward");
+  BESS_COUNT_IN(scope_, "node.lock.forward");
   std::string ignored;
   BESS_RETURN_IF_ERROR(Forward(w.request, &ignored));
   // Cache the grant unless coverage was given up while it was in flight —
@@ -129,8 +127,7 @@ Status NodeServer::FetchPages(const Message& msg, std::string* reply) {
   reply->resize(static_cast<size_t>(count) * kPageSize);
   if (CacheGet(db, area, first, count, reply->data())) return Status::OK();
   const uint64_t epoch = epoch_.load();
-  upstream_fetches_.fetch_add(1, std::memory_order_relaxed);
-  BESS_COUNT("node.upstream.fetch");
+  BESS_COUNT_IN(scope_, "node.upstream.fetch");
   std::string fetched;
   BESS_RETURN_IF_ERROR(Forward(msg, &fetched));
   if (fetched.size() != reply->size()) {
@@ -160,8 +157,7 @@ Status NodeServer::FetchSlotted(const Message& msg, std::string* reply) {
     }
   }
   const uint64_t epoch = epoch_.load();
-  upstream_fetches_.fetch_add(1, std::memory_order_relaxed);
-  BESS_COUNT("node.upstream.fetch");
+  BESS_COUNT_IN(scope_, "node.upstream.fetch");
   std::string fetched;
   BESS_RETURN_IF_ERROR(Forward(msg, &fetched));
   Decoder rdec(fetched);
@@ -204,7 +200,7 @@ Status NodeServer::Forward(const Message& msg, std::string* reply) {
 // ---- upstream callbacks -----------------------------------------------------
 
 Status NodeServer::OnCallback(uint64_t key, LockMode) {
-  BESS_COUNT("node.callback");
+  BESS_COUNT_IN(scope_, "node.callback");
   // Deny while any local application holds the lock, else give it back and
   // drop the cached pages (§3) — one step under mu_ against FinishLock.
   std::lock_guard<std::mutex> guard(mu_);
@@ -237,8 +233,7 @@ bool NodeServer::CacheGet(uint16_t db, uint16_t area, PageId first,
                           dst + static_cast<size_t>(i) * kPageSize)) {
       return false;
     }
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    BESS_COUNT("node.cache.hit");
+    BESS_COUNT_IN(scope_, "node.cache.hit");
   }
   return true;
 }
@@ -256,7 +251,7 @@ void NodeServer::CacheFill(uint64_t epoch, uint16_t db, uint16_t area,
 void NodeServer::DropPagesLocked() {
   epoch_++;
   (void)page_cache_->Clear(/*flush=*/false);
-  BESS_COUNT("node.cache.invalidate");
+  BESS_COUNT_IN(scope_, "node.cache.invalidate");
 }
 
 }  // namespace bess

@@ -36,7 +36,8 @@ class NodeServer : private SessionCore::Handler, private LockCallbackPolicy {
     uint32_t cache_pages = 4096;
   };
 
-  /// The node's other counters are registry metrics (node.*).
+  /// A view of two of the node's counters (node.cache.hit,
+  /// node.upstream.fetch); scope_stats() holds them all.
   struct Stats {
     uint64_t cache_hits = 0;        ///< pages served from the node cache
     uint64_t upstream_fetches = 0;  ///< fetch requests sent upstream
@@ -48,6 +49,8 @@ class NodeServer : private SessionCore::Handler, private LockCallbackPolicy {
   /// Stops serving local applications, then says goodbye upstream.
   void Stop();
   Stats stats() const;
+  /// node.*, the node cache's cache.* and its SessionCore's counters.
+  ::bess::Stats scope_stats() const { return scope_.Snapshot(); }
   /// Local sessions currently registered.
   size_t live_sessions() const { return core_.live_sessions(); }
 
@@ -87,6 +90,7 @@ class NodeServer : private SessionCore::Handler, private LockCallbackPolicy {
   void DropPagesLocked();
 
   Options options_;
+  obs::Scope scope_;  ///< shared with page_cache_ and core_
   std::unique_ptr<HeapPlacement> cache_placement_;
   std::unique_ptr<FrameTable> page_cache_;
   SessionCore core_;
@@ -101,9 +105,6 @@ class NodeServer : private SessionCore::Handler, private LockCallbackPolicy {
   /// released callback or a lost upstream session. Each bump empties the
   /// page cache.
   std::atomic<uint64_t> epoch_{0};
-
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> upstream_fetches_{0};
 };
 
 }  // namespace bess

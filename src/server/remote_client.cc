@@ -14,17 +14,17 @@ namespace {
 
 /// Per-opcode RPC counters for the handful of opcodes that dominate the
 /// paper's traffic; the rest pool under rpc.other.
-void CountRpcOp(uint16_t type) {
-  BESS_COUNT("rpc.call");
+void CountRpcOp(obs::Scope& scope, uint16_t type) {
+  BESS_COUNT_IN(scope, "rpc.call");
   switch (type) {
-    case kMsgFetchSlotted: BESS_COUNT("rpc.fetch_slotted"); break;
-    case kMsgFetchPages: BESS_COUNT("rpc.fetch_pages"); break;
-    case kMsgLock: BESS_COUNT("rpc.lock"); break;
-    case kMsgCommit: BESS_COUNT("rpc.commit"); break;
+    case kMsgFetchSlotted: BESS_COUNT_IN(scope, "rpc.fetch_slotted"); break;
+    case kMsgFetchPages: BESS_COUNT_IN(scope, "rpc.fetch_pages"); break;
+    case kMsgLock: BESS_COUNT_IN(scope, "rpc.lock"); break;
+    case kMsgCommit: BESS_COUNT_IN(scope, "rpc.commit"); break;
     case kMsgPrepare:
     case kMsgCommitPrepared:
-    case kMsgAbortPrepared: BESS_COUNT("rpc.2pc"); break;
-    default: BESS_COUNT("rpc.other"); break;
+    case kMsgAbortPrepared: BESS_COUNT_IN(scope, "rpc.2pc"); break;
+    default: BESS_COUNT_IN(scope, "rpc.other"); break;
   }
 }
 
@@ -295,8 +295,7 @@ ReplyFuture RemoteClient::CallAsyncOn(Peer& peer, uint16_t type,
 }
 
 ReplyFuture RemoteClient::CallAsync(uint16_t type, const std::string& payload) {
-  CountStat(&Stats::rpcs);
-  CountRpcOp(type);
+  CountRpcOp(scope_, type);
   return CallAsyncOn(primary_, type, payload);
 }
 
@@ -349,14 +348,12 @@ Status RemoteClient::BreakerAdmit(Peer& peer) {
     if (!peer.breaker_open) return Status::OK();
     const auto now = std::chrono::steady_clock::now();
     if (now < peer.breaker_until || peer.probe_inflight) {
-      BESS_COUNT("client.breaker.short_circuit");
-      CountStat(&Stats::breaker_short_circuits);
+      BESS_COUNT_IN(scope_, "client.breaker.short_circuit");
       return Status::RetryLater("circuit open to " + peer.path);
     }
     peer.probe_inflight = true;  // half-open: this caller owns the probe
   }
-  CountStat(&Stats::breaker_probes);
-  BESS_COUNT("client.breaker.probe");
+  BESS_COUNT_IN(scope_, "client.breaker.probe");
   const int probe_wait = std::max(options_.breaker_cooldown_ms, 50);
   uint64_t gen = 0;
   {
@@ -383,7 +380,7 @@ Status RemoteClient::BreakerAdmit(Peer& peer) {
     // traffic again.
     peer.breaker_open = false;
     peer.consecutive_failures = 0;
-    BESS_COUNT("client.breaker.close");
+    BESS_COUNT_IN(scope_, "client.breaker.close");
     return Status::OK();
   }
   peer.breaker_until = std::chrono::steady_clock::now() +
@@ -413,16 +410,14 @@ void RemoteClient::BreakerRecord(Peer& peer, bool failed) {
     }
   }
   if (opened) {
-    CountStat(&Stats::breaker_opens);
-    BESS_COUNT("client.breaker.open");
+    BESS_COUNT_IN(scope_, "client.breaker.open");
     BESS_DEBUG("breaker opened to " << peer.path);
   }
 }
 
 Status RemoteClient::Call(Peer& peer, uint16_t type,
                           const std::string& payload, Message* reply) {
-  CountStat(&Stats::rpcs);
-  CountRpcOp(type);
+  CountRpcOp(scope_, type);
   BESS_SPAN("rpc.call.latency");
   // Local wait backstop: roughly twice the wire deadline (budget for the
   // queueing the server's shed already accounts for, plus transit), so a
@@ -440,8 +435,7 @@ Status RemoteClient::Call(Peer& peer, uint16_t type,
   for (;;) {
     if (need_reconnect) {
       if (++transport_attempts > options_.max_rpc_retries) return last;
-      CountStat(&Stats::rpc_retries);
-      BESS_COUNT("rpc.retry");
+      BESS_COUNT_IN(scope_, "rpc.retry");
       ::usleep(static_cast<useconds_t>(options_.rpc_backoff_ms) * 1000u
                << (transport_attempts - 1));
       Status rc = Reconnect(peer, observed_gen);
@@ -476,8 +470,7 @@ Status RemoteClient::Call(Peer& peer, uint16_t type,
         // transport retry and never reconnects.
         if (e.IsRetryLater() && shed_retries < options_.retry_later_max) {
           ++shed_retries;
-          CountStat(&Stats::retry_later_backoffs);
-          BESS_COUNT("client.retry_later.backoff");
+          BESS_COUNT_IN(scope_, "client.retry_later.backoff");
           const uint64_t base =
               static_cast<uint64_t>(options_.retry_later_backoff_ms)
               << std::min(shed_retries - 1, 10);
@@ -504,8 +497,7 @@ Status RemoteClient::Call(Peer& peer, uint16_t type,
       // these in a row and subsequent calls fail fast instead of each
       // burning a full deadline against a wedged server.
       BreakerRecord(peer, /*failed=*/true);
-      CountStat(&Stats::deadline_timeouts);
-      BESS_COUNT("client.deadline.local");
+      BESS_COUNT_IN(scope_, "client.deadline.local");
       return s;
     }
     if (!IsTransportFailure(s)) return s;
@@ -529,8 +521,7 @@ Status RemoteClient::Reconnect(Peer& peer, uint64_t observed_generation) {
     }
     peer.generation++;
   }
-  CountStat(&Stats::reconnects);
-  BESS_COUNT("rpc.reconnect");
+  BESS_COUNT_IN(scope_, "rpc.reconnect");
   // Retire the old reader (it exits on the generation bump; shutdown wakes
   // it if parked) and fail whatever was still in flight.
   StopReader(&peer);
@@ -611,8 +602,7 @@ Status RemoteClient::EnsureLock(uint64_t key, LockMode mode, SegmentId home) {
     if (it != cached_locks_.end() && LockJoin(it->second, mode) == it->second) {
       // Cached from an earlier transaction: no server round trip (§3).
       in_use_.insert(key);
-      stats_.lock_cache_hits++;
-      BESS_COUNT("rpc.lock.cache_hit");
+      BESS_COUNT_IN(scope_, "rpc.lock.cache_hit");
       return Status::OK();
     }
   }
@@ -623,7 +613,6 @@ Status RemoteClient::EnsureLock(uint64_t key, LockMode mode, SegmentId home) {
   payload.push_back(static_cast<char>(mode));
   PutFixed32(&payload, static_cast<uint32_t>(options_.lock_timeout_ms));
   Message reply;
-  CountStat(&Stats::lock_rpcs);
   // kDeadlock means the server's wait timed out — usually transient
   // contention (the holder's transaction will finish), not a true cycle.
   // Retry with exponential backoff; jitter desynchronizes clients that timed
@@ -639,8 +628,7 @@ Status RemoteClient::EnsureLock(uint64_t key, LockMode mode, SegmentId home) {
       std::lock_guard<std::mutex> guard(backoff_mutex_);
       jittered = base / 2 + backoff_rng_.Uniform(base / 2 + 1);
     }
-    CountStat(&Stats::lock_backoffs);
-    BESS_COUNT("client.lock.backoff");
+    BESS_COUNT_IN(scope_, "client.lock.backoff");
     ::usleep(static_cast<useconds_t>(jittered) * 1000u);
   }
   BESS_RETURN_IF_ERROR(lock_status);
@@ -698,12 +686,12 @@ void RemoteClient::CallbackLoop() {
 
 Status RemoteClient::HandleCallback(uint64_t key, LockMode wanted) {
   (void)wanted;
+  BESS_COUNT_IN(scope_, "client.callback.received");
   std::unique_lock<std::mutex> guard(mutex_);
-  stats_.callbacks_received++;
   if (in_use_.count(key)) {
     // The lock protects work of the active transaction: refuse; the
     // requester waits until this transaction ends (§3).
-    stats_.callbacks_denied++;
+    BESS_COUNT_IN(scope_, "client.callback.denied");
     return Status::Busy("lock in use by active transaction");
   }
   auto home = key_home_.find(key);
@@ -712,7 +700,6 @@ Status RemoteClient::HandleCallback(uint64_t key, LockMode wanted) {
                             : SegmentId{};
   cached_locks_.erase(key);
   key_home_.erase(key);
-  stats_.callbacks_released++;
   guard.unlock();
   if (seg.valid()) {
     // Giving back the lock means our cached copy may go stale: drop it so
@@ -720,12 +707,12 @@ Status RemoteClient::HandleCallback(uint64_t key, LockMode wanted) {
     Status s = mapper_->Evict(seg, /*drop_dirty=*/false);
     if (s.IsBusy()) {
       // Dirty but not in use should not happen (dirty => in_use); be safe.
-      std::lock_guard<std::mutex> reguard(mutex_);
-      stats_.callbacks_released--;
-      stats_.callbacks_denied++;
+      BESS_COUNT_IN(scope_, "client.callback.denied");
       return s;
     }
   }
+  // Counted once the outcome is final: a release is never taken back.
+  BESS_COUNT_IN(scope_, "client.callback.released");
   return Status::OK();
 }
 
@@ -1025,16 +1012,6 @@ Result<Slot*> RemoteClient::Deref(const Oid& oid) {
     return Status::NotFound("stale OID: " + oid.ToString());
   }
   return slot;
-}
-
-void RemoteClient::CountStat(uint64_t Stats::*field) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  ++(stats_.*field);
-}
-
-RemoteClient::Stats RemoteClient::stats() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return stats_;
 }
 
 Result<::bess::Stats> RemoteClient::ServerStats() {

@@ -27,7 +27,7 @@
 #include <unordered_map>
 
 #include "object/oid.h"
-#include "obs/stats.h"
+#include "obs/scope.h"
 #include "server/protocol.h"
 #include "storage/page_io.h"
 #include "util/random.h"
@@ -129,24 +129,6 @@ class RemoteClient : public AccessObserver {
     SegmentMapper::Options mapper;
   };
 
-  struct Stats {
-    uint64_t rpcs = 0;
-    uint64_t rpc_retries = 0;   ///< RPC attempts beyond the first
-    uint64_t reconnects = 0;    ///< sessions re-established after a failure
-    uint64_t lock_rpcs = 0;
-    uint64_t lock_cache_hits = 0;  ///< lock needed, already cached: no RPC
-    uint64_t lock_backoffs = 0;    ///< deadlock-timeout retries after backoff
-    uint64_t callbacks_received = 0;
-    uint64_t callbacks_released = 0;
-    uint64_t callbacks_denied = 0;
-    /// Overload resilience (DESIGN.md §12).
-    uint64_t retry_later_backoffs = 0;  ///< kRetryLater sheds retried
-    uint64_t deadline_timeouts = 0;     ///< gave up waiting locally
-    uint64_t breaker_opens = 0;
-    uint64_t breaker_short_circuits = 0;  ///< calls refused while open
-    uint64_t breaker_probes = 0;          ///< half-open ping probes sent
-  };
-
   /// With a `callbacks` policy (which must outlive the client) the client
   /// builds no object layer: only Call/CallAsync/Flush/ServerStats work.
   static Result<std::unique_ptr<RemoteClient>> Connect(
@@ -224,7 +206,9 @@ class RemoteClient : public AccessObserver {
 
   SegmentMapper* mapper() { return mapper_.get(); }
   TypeTable* types() { return &types_; }
-  Stats stats() const;
+  /// rpc.* and client.* counters, including client.callback.{received,
+  /// released,denied} (received = released + denied).
+  Stats stats() const { return scope_.Snapshot(); }
 
   // AccessObserver: automatic lock acquisition from the fault path.
   Status OnSegmentRead(SegmentId id) override;
@@ -309,13 +293,12 @@ class RemoteClient : public AccessObserver {
   Status SyncTypes();
   void CallbackLoop();
   Status HandleCallback(uint64_t key, LockMode wanted);
-  /// Bumps one field of the stats mirror (guarded by mutex_).
-  void CountStat(uint64_t Stats::*field);
   Result<SegmentId> ActiveSegment(uint16_t file_id, uint32_t min_bytes);
   /// A request payload naming `name` in this client's database.
   std::string NamedPayload(const std::string& name) const;
 
   Options options_;
+  obs::Scope scope_;  ///< declared early: every thread below counts into it
   LockCallbackPolicy* callbacks_ = nullptr;
   Peer primary_;
   std::vector<std::unique_ptr<Peer>> extra_peers_;
@@ -344,7 +327,6 @@ class RemoteClient : public AccessObserver {
   std::atomic<uint64_t> next_gtid_{1};
   std::mutex backoff_mutex_;  // protects backoff_rng_ (jitter for retries)
   Random backoff_rng_{reinterpret_cast<uint64_t>(this)};
-  mutable Stats stats_;
 };
 
 }  // namespace bess

@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace bess {
@@ -24,10 +23,11 @@ int DefaultWorkerCount() {
 
 }  // namespace
 
-SessionCore::SessionCore(Options options, Handler* handler)
+SessionCore::SessionCore(Options options, Handler* handler, obs::Scope* scope)
     : options_(std::move(options)),
       handler_(handler),
-      locks_(options_.lock_timeout_ms) {}
+      locks_(options_.lock_timeout_ms),
+      scope_(*scope) {}
 
 SessionCore::~SessionCore() { Stop(); }
 
@@ -93,8 +93,7 @@ void SessionCore::OnAccept(MsgSocket sock) {
   // refusal, and on the client a clean retryable transport failure.
   if (options_.max_connections > 0 &&
       reactor_->ConnCountOnEventThread() >= options_.max_connections) {
-    counters_.conns_rejected.fetch_add(1, std::memory_order_relaxed);
-    BESS_COUNT("server.overload.conn_rejected");
+    BESS_COUNT_IN(scope_, "server.overload.conn_rejected");
     sock.Close();
     return;
   }
@@ -126,8 +125,8 @@ void SessionCore::OnConnMessage(
         shard.map[session->id] = session;
       }
       *bound = session;
-      BESS_COUNT("srv.session.open");
-      BESS_GAUGE_ADD("srv.session.active", 1);
+      BESS_COUNT_IN(scope_, "srv.session.open");
+      BESS_GAUGE_ADD_IN(scope_, "srv.session.active", 1);
       std::string reply;
       PutFixed64(&reply, session->id);
       reactor_->Send(conn, kMsgOk, msg.req_id, std::move(reply));
@@ -171,8 +170,7 @@ void SessionCore::OnConnMessage(
             ? uint64_t{options_.max_inflight_global} * 2
             : uint64_t{options_.max_inflight_global};
     if (inflight_.load(std::memory_order_relaxed) >= budget) {
-      counters_.shed_admission.fetch_add(1, std::memory_order_relaxed);
-      BESS_COUNT("server.overload.shed.admission");
+      BESS_COUNT_IN(scope_, "server.overload.shed.admission");
       ShedRequest(conn, msg.req_id,
                   Status::RetryLater("server at capacity; back off"));
       return;
@@ -195,8 +193,7 @@ void SessionCore::OnConnMessage(
     std::lock_guard<std::mutex> guard(session->q_mu);
     if (!exempt && options_.max_inflight_per_session > 0 &&
         session->queue.size() >= options_.max_inflight_per_session) {
-      counters_.shed_admission.fetch_add(1, std::memory_order_relaxed);
-      BESS_COUNT("server.overload.shed.admission");
+      BESS_COUNT_IN(scope_, "server.overload.shed.admission");
       ShedRequest(conn, q.msg.req_id,
                   Status::RetryLater("session pipeline full; back off"));
       return;
@@ -287,8 +284,7 @@ void SessionCore::DrainSession(std::shared_ptr<Session> session) {
     // decisions execute regardless: they only shrink in-doubt state.
     if (q.expiry <= std::chrono::steady_clock::now() &&
         msg.type != kMsgCommitPrepared && msg.type != kMsgAbortPrepared) {
-      counters_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      BESS_COUNT("server.overload.shed.deadline");
+      BESS_COUNT_IN(scope_, "server.overload.shed.deadline");
       ShedRequest(session->conn, msg.req_id,
                   Status::DeadlineExceeded("deadline passed before dispatch"));
       inflight_.fetch_sub(1, std::memory_order_relaxed);
@@ -353,8 +349,8 @@ void SessionCore::CleanupSession(const std::shared_ptr<Session>& session) {
     session->has_callback.store(false);
     session->callback.Close();
   }
-  counters_.sessions_reaped.fetch_add(1, std::memory_order_relaxed);
-  BESS_GAUGE_SUB("srv.session.active", 1);
+  BESS_COUNT_IN(scope_, "srv.session.close");
+  BESS_GAUGE_SUB_IN(scope_, "srv.session.active", 1);
 }
 
 void SessionCore::ShedRequest(Reactor::ConnId conn, uint64_t req_id,
@@ -378,8 +374,7 @@ void SessionCore::SendReply(Session& session, uint16_t type, uint64_t req_id,
 }
 
 void SessionCore::MarkSessionDefunct(Session* session) {
-  counters_.callback_timeouts.fetch_add(1, std::memory_order_relaxed);
-  BESS_COUNT("srv.callback.timeout");
+  BESS_COUNT_IN(scope_, "srv.callback.timeout");
   // The defunct flag stops the session's drain from continuing to *wait*
   // for locks — without it, a lock-wait round in flight rides out its cap
   // on a request whose session is already dead. Closing the main channel
@@ -424,8 +419,7 @@ Status SessionCore::LockWaitRound(Session& session) {
     PutFixed64(&payload, w.key);
     payload.push_back(static_cast<char>(w.mode));
     std::lock_guard<std::mutex> cb_guard(holder->callback_mutex);
-    counters_.callbacks_sent.fetch_add(1, std::memory_order_relaxed);
-    BESS_COUNT("srv.callback.sent");
+    BESS_COUNT_IN(scope_, "srv.callback.sent");
     if (!holder->callback.Send(kMsgCallback, payload).ok()) {
       MarkSessionDefunct(holder.get());
       continue;
@@ -439,13 +433,11 @@ Status SessionCore::LockWaitRound(Session& session) {
       continue;
     }
     if (answer->type == kMsgCallbackReleased) {
-      counters_.callbacks_released.fetch_add(1, std::memory_order_relaxed);
-      BESS_COUNT("srv.callback.released");
+      BESS_COUNT_IN(scope_, "srv.callback.released");
       (void)locks_.Release(holder_id, w.key);
     } else {
       // In use: the requester keeps waiting.
-      counters_.callbacks_denied.fetch_add(1, std::memory_order_relaxed);
-      BESS_COUNT("srv.callback.denied");
+      BESS_COUNT_IN(scope_, "srv.callback.denied");
     }
   }
 

@@ -20,6 +20,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "obs/scope.h"
 #include "os/socket.h"
 #include "server/protocol.h"
 #include "server/reactor.h"
@@ -136,21 +137,11 @@ class SessionCore {
     virtual void OnSessionClosed(Session&) {}
   };
 
-  /// Session-level counters the servers' stats() read. Every shed is a
+  /// `handler` and `scope` must outlive the core. The core counts its
+  /// session-level events (srv.session.*, srv.callback.*, the
+  /// server.overload.* sheds) into the server's `scope`. Every shed is a
   /// reply, never a silent drop, so they reconcile against client counts.
-  struct Counters {
-    std::atomic<uint64_t> sessions_reaped{0};
-    std::atomic<uint64_t> callbacks_sent{0};
-    std::atomic<uint64_t> callbacks_released{0};
-    std::atomic<uint64_t> callbacks_denied{0};
-    std::atomic<uint64_t> callback_timeouts{0};
-    std::atomic<uint64_t> shed_deadline{0};
-    std::atomic<uint64_t> shed_admission{0};
-    std::atomic<uint64_t> conns_rejected{0};
-  };
-
-  /// `handler` must outlive the core.
-  SessionCore(Options options, Handler* handler);
+  SessionCore(Options options, Handler* handler, obs::Scope* scope);
   ~SessionCore();
   SessionCore(const SessionCore&) = delete;
   SessionCore& operator=(const SessionCore&) = delete;
@@ -167,7 +158,6 @@ class SessionCore {
   const Options& options() const { return options_; }
   LockManager& locks() { return locks_; }
   const LockManager& locks() const { return locks_; }
-  const Counters& counters() const { return counters_; }
   /// Sessions currently registered (leak checks: must return to baseline
   /// after clients disconnect).
   size_t live_sessions() const;
@@ -231,7 +221,7 @@ class SessionCore {
   /// thread), decremented once per request when its drain completes it.
   std::atomic<uint64_t> inflight_{0};
   SessionShard session_shards_[kSessionShards];
-  Counters counters_;
+  obs::Scope& scope_;
 };
 
 }  // namespace bess

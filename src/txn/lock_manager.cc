@@ -73,8 +73,7 @@ Status LockManager::AcquireInternal(TxnId txn, uint64_t key, LockMode mode,
                                     int timeout_ms, bool blocking) {
   Shard& sh = ShardFor(key);
   std::unique_lock<std::mutex> lk(sh.mu);
-  sh.stats.acquires++;
-  BESS_COUNT("txn.lock.acquire");
+  BESS_COUNT_IN(scope_, "txn.lock.acquire");
 
   LockEntry& entry = sh.table[key];
   // Already holding: no-op or upgrade.
@@ -92,12 +91,11 @@ Status LockManager::AcquireInternal(TxnId txn, uint64_t key, LockMode mode,
   if (GrantableLocked(entry, txn, target)) {
     if (mine != nullptr) {
       mine->mode = target;
-      sh.stats.upgrades++;
-      BESS_COUNT("txn.lock.upgrade");
+      BESS_COUNT_IN(scope_, "txn.lock.upgrade");
     } else {
       entry.holders.push_back(Holder{txn, target});
       sh.by_txn[txn].insert(key);
-      sh.stats.immediate_grants++;
+      BESS_COUNT_IN(scope_, "txn.lock.immediate_grant");
     }
     EventContext ctx;
     ctx.a = key;
@@ -110,8 +108,7 @@ Status LockManager::AcquireInternal(TxnId txn, uint64_t key, LockMode mode,
     return Status::Busy("lock " + std::to_string(key) + " held in conflicting mode");
   }
 
-  sh.stats.waits++;
-  BESS_COUNT("txn.lock.wait");
+  BESS_COUNT_IN(scope_, "txn.lock.wait");
   entry.waiters++;
   const uint64_t wait_start_ns = obs::Trace::NowNs();
   const auto deadline = std::chrono::steady_clock::now() +
@@ -133,7 +130,7 @@ Status LockManager::AcquireInternal(TxnId txn, uint64_t key, LockMode mode,
     if (!GrantableLocked(e, txn, tgt)) return false;
     if (me != nullptr) {
       me->mode = tgt;
-      sh.stats.upgrades++;
+      BESS_COUNT_IN(scope_, "txn.lock.upgrade");
     } else {
       e.holders.push_back(Holder{txn, tgt});
       sh.by_txn[txn].insert(key);
@@ -161,8 +158,7 @@ Status LockManager::AcquireInternal(TxnId txn, uint64_t key, LockMode mode,
       lk.lock();
       if (try_grant_locked()) return Status::OK();
       sh.table[key].waiters--;
-      sh.stats.timeouts++;
-      BESS_COUNT("txn.lock.timeout");
+      BESS_COUNT_IN(scope_, "txn.lock.timeout");
       BESS_HIST("txn.lock.wait.latency", obs::Trace::NowNs() - wait_start_ns);
       EventContext ctx;
       ctx.a = key;
@@ -266,19 +262,6 @@ std::vector<std::pair<TxnId, LockMode>> LockManager::Holders(
     for (const Holder& h : it->second.holders) out.emplace_back(h.txn, h.mode);
   }
   return out;
-}
-
-LockStats LockManager::stats() const {
-  LockStats total;
-  for (const Shard& sh : shards_) {
-    std::unique_lock<std::mutex> lk(sh.mu);
-    total.acquires += sh.stats.acquires;
-    total.immediate_grants += sh.stats.immediate_grants;
-    total.waits += sh.stats.waits;
-    total.timeouts += sh.stats.timeouts;
-    total.upgrades += sh.stats.upgrades;
-  }
-  return total;
 }
 
 }  // namespace bess

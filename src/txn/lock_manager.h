@@ -19,6 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/scope.h"
 #include "util/config.h"
 #include "util/status.h"
 
@@ -69,16 +70,6 @@ struct LockKey {
   }
 };
 
-/// Statistics for benches (messages & waits are the currencies the paper's
-/// related work optimizes).
-struct LockStats {
-  uint64_t acquires = 0;
-  uint64_t immediate_grants = 0;
-  uint64_t waits = 0;
-  uint64_t timeouts = 0;
-  uint64_t upgrades = 0;
-};
-
 /// The lock table is hash-partitioned into kLockShards shards, each with its
 /// own mutex + condition variable, so sessions locking disjoint resources
 /// never serialize on one manager-wide mutex. A shard is picked by a
@@ -123,7 +114,9 @@ class LockManager {
   /// All transactions holding `key` and their modes (callback targets).
   std::vector<std::pair<TxnId, LockMode>> Holders(uint64_t key) const;
 
-  LockStats stats() const;
+  /// txn.lock.* counters for benches (messages & waits are the currencies
+  /// the paper's related work optimizes).
+  Stats stats() const { return scope_.Snapshot(); }
 
  private:
   struct Holder {
@@ -143,7 +136,6 @@ class LockManager {
     /// Keys of *this shard* held per transaction (ReleaseAll/HeldKeys
     /// gather across all shards).
     std::unordered_map<TxnId, std::unordered_set<uint64_t>> by_txn;
-    LockStats stats;
   };
 
   static uint32_t ShardIndex(uint64_t key) {
@@ -164,6 +156,7 @@ class LockManager {
   /// on the timeout path, never while holding a shard mutex.
   std::mutex detector_mu_;
   int default_timeout_ms_;
+  obs::Scope scope_;
 };
 
 }  // namespace bess

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "hooks/hooks.h"
-#include "obs/metrics.h"
+#include "obs/scope.h"
 #include "os/vmem.h"
 #include "util/logging.h"
 
@@ -72,7 +72,7 @@ Result<SegmentMapper::MappedSegment*> SegmentMapper::EnsureReservedLocked(
   seg->id = id;
   BESS_ASSIGN_OR_RETURN(seg->slotted_base, arena_.Acquire(kSlottedReserve));
   seg->slotted_reserved = kSlottedReserve;
-  stats_.reserved_bytes += kSlottedReserve;
+  BESS_GAUGE_ADD_IN(scope_, "vm.reserved.bytes", kSlottedReserve);
   AddRangeLocked(seg->slotted_base, kSlottedReserve, seg.get(),
                  Kind::kSlotted);
   MappedSegment* raw = seg.get();
@@ -87,7 +87,7 @@ Status SegmentMapper::ReserveDataRangeLocked(MappedSegment* seg,
   want *= opts_.data_headroom > 0 ? opts_.data_headroom : 1;
   BESS_ASSIGN_OR_RETURN(seg->data_base, arena_.Acquire(want));
   seg->data_reserved = want;
-  stats_.reserved_bytes += want;
+  BESS_GAUGE_ADD_IN(scope_, "vm.reserved.bytes", want);
   AddRangeLocked(seg->data_base, want, seg, Kind::kData);
   return Status::OK();
 }
@@ -104,7 +104,7 @@ Result<SegmentMapper::LargeRange*> SegmentMapper::ReserveLargeLocked(
   BESS_ASSIGN_OR_RETURN(lr.base, arena_.Acquire(reserve));
   lr.reserved = reserve;
   lr.page_state.assign(pages, kUnmapped);
-  stats_.reserved_bytes += reserve;
+  BESS_GAUGE_ADD_IN(scope_, "vm.reserved.bytes", reserve);
   auto [it, inserted] = seg->large.insert_or_assign(slot_no, lr);
   (void)inserted;
   AddRangeLocked(it->second.base, reserve, seg, Kind::kLarge, slot_no);
@@ -127,8 +127,8 @@ Status SegmentMapper::FaultSlottedLocked(MappedSegment* seg) {
   const size_t bytes = static_cast<size_t>(page_count) * kPageSize;
   BESS_RETURN_IF_ERROR(
       vmem::CommitAnonymous(seg->slotted_base, bytes, vmem::kReadWrite));
-  stats_.committed_bytes += bytes;
-  stats_.bytes_fetched += bytes;
+  BESS_GAUGE_ADD_IN(scope_, "vm.committed.bytes", bytes);
+  BESS_COUNT_N_IN(scope_, "vm.fetch.bytes", bytes);
   memcpy(seg->slotted_base, buf.data(), bytes);
   seg->slotted_pages = page_count;
 
@@ -152,9 +152,8 @@ Status SegmentMapper::FaultSlottedLocked(MappedSegment* seg) {
         vmem::Protect(seg->slotted_base, bytes, vmem::kRead));
   }
   seg->slotted_mapped = true;
-  stats_.slotted_faults++;
-  BESS_COUNT("vm.fault.slotted");
-  BESS_COUNT("cache.miss");
+  BESS_COUNT_IN(scope_, "vm.fault.slotted");
+  BESS_COUNT_IN(scope_, "cache.miss");
 
   (void)FireEvent(Event::kSegmentFetch, ctx);
   if (observer_ != nullptr) {
@@ -219,13 +218,13 @@ Status SegmentMapper::FaultDataLocked(MappedSegment* seg) {
 
   BESS_RETURN_IF_ERROR(
       vmem::CommitAnonymous(seg->data_base, bytes, vmem::kReadWrite));
-  stats_.committed_bytes += bytes;
+  BESS_GAUGE_ADD_IN(scope_, "vm.committed.bytes", bytes);
   if (seg->data_on_store) {
     BESS_RETURN_IF_ERROR(store_->FetchPages(seg->id.db, h->data_area,
                                             h->data_first_page,
                                             h->data_page_count,
                                             seg->data_base));
-    stats_.bytes_fetched += bytes;
+    BESS_COUNT_N_IN(scope_, "vm.fetch.bytes", bytes);
     if (opts_.prefetch_sink != nullptr) {
       opts_.prefetch_sink->NoteFetch(seg->id.db, h->data_area,
                                      h->data_first_page, h->data_page_count);
@@ -239,9 +238,8 @@ Status SegmentMapper::FaultDataLocked(MappedSegment* seg) {
   if (opts_.detect_writes) {
     BESS_RETURN_IF_ERROR(vmem::Protect(seg->data_base, bytes, vmem::kRead));
   }
-  stats_.data_faults++;
-  BESS_COUNT("vm.fault.data");
-  if (seg->data_on_store) BESS_COUNT("cache.miss");
+  BESS_COUNT_IN(scope_, "vm.fault.data");
+  if (seg->data_on_store) BESS_COUNT_IN(scope_, "cache.miss");
   (void)FireEvent(Event::kSegmentFetch, ctx);
   return Status::OK();
 }
@@ -274,8 +272,7 @@ Status SegmentMapper::SwizzleDataLocked(MappedSegment* seg) {
       const uint16_t slot_no = DiskRef::SlotNo(v);
       *field = reinterpret_cast<uint64_t>(
           static_cast<char*>(tseg->slotted_base) + SlotOffset(slot_no));
-      stats_.swizzled_refs++;
-      BESS_COUNT("vm.ref.swizzle");
+      BESS_COUNT_IN(scope_, "vm.ref.swizzle");
       if (opts_.greedy && !tseg->slotted_mapped) {
         greedy_targets.push_back(target);
       }
@@ -297,12 +294,12 @@ Status SegmentMapper::FaultLargeLocked(MappedSegment* seg, LargeRange* lr) {
   const size_t bytes = static_cast<size_t>(lr->page_count) * kPageSize;
   BESS_RETURN_IF_ERROR(
       vmem::CommitAnonymous(lr->base, bytes, vmem::kReadWrite));
-  stats_.committed_bytes += bytes;
+  BESS_GAUGE_ADD_IN(scope_, "vm.committed.bytes", bytes);
   if (seg->data_on_store) {
     BESS_RETURN_IF_ERROR(store_->FetchPages(seg->id.db, lr->area,
                                             lr->first_page, lr->page_count,
                                             lr->base));
-    stats_.bytes_fetched += bytes;
+    BESS_COUNT_N_IN(scope_, "vm.fetch.bytes", bytes);
     if (opts_.prefetch_sink != nullptr) {
       opts_.prefetch_sink->NoteFetch(seg->id.db, lr->area, lr->first_page,
                                      lr->page_count);
@@ -313,9 +310,8 @@ Status SegmentMapper::FaultLargeLocked(MappedSegment* seg, LargeRange* lr) {
   if (opts_.detect_writes) {
     BESS_RETURN_IF_ERROR(vmem::Protect(lr->base, bytes, vmem::kRead));
   }
-  stats_.large_faults++;
-  BESS_COUNT("vm.fault.large");
-  if (seg->data_on_store) BESS_COUNT("cache.miss");
+  BESS_COUNT_IN(scope_, "vm.fault.large");
+  if (seg->data_on_store) BESS_COUNT_IN(scope_, "cache.miss");
   return Status::OK();
 }
 
@@ -374,8 +370,7 @@ Status SegmentMapper::WriteFaultLocked(MappedSegment* seg, Kind kind,
   undo.emplace(page_idx, std::string(page_base, kPageSize));
   (*states)[page_idx] = kMappedDirty;
   BESS_RETURN_IF_ERROR(vmem::Protect(page_base, kPageSize, vmem::kReadWrite));
-  stats_.write_faults++;
-  BESS_COUNT("vm.fault.detect");
+  BESS_COUNT_IN(scope_, "vm.fault.detect");
   return Status::OK();
 }
 
@@ -502,7 +497,7 @@ Status SegmentMapper::FetchDataNow(SegmentId id) {
 Status SegmentMapper::EnsureSlottedMappedLocked(MappedSegment* seg) {
   if (seg->slotted_mapped) {
     // Inter-transaction caching (§3): the segment survived in the mapper.
-    BESS_COUNT("cache.hit");
+    BESS_COUNT_IN(scope_, "cache.hit");
     return Status::OK();
   }
   return FaultSlottedLocked(seg);
@@ -624,7 +619,7 @@ Result<Slot*> SegmentMapper::CreateLargeObject(SegmentId id, TypeIdx type,
   const size_t bytes = static_cast<size_t>(lo_pages) * kPageSize;
   BESS_RETURN_IF_ERROR(
       vmem::CommitAnonymous(lr->base, bytes, vmem::kReadWrite));
-  stats_.committed_bytes += bytes;
+  BESS_GAUGE_ADD_IN(scope_, "vm.committed.bytes", bytes);
   lr->mapped = true;
   lr->page_state.assign(lo_pages, kMappedDirty);
   if (observer_ != nullptr) {
@@ -669,7 +664,8 @@ Status SegmentMapper::DeleteObject(SegmentId id, uint16_t slot_no) {
       if (it != seg->large.end()) {
         DropRangeLocked(it->second.base);
         (void)arena_.Release(it->second.base, it->second.reserved);
-        stats_.reserved_bytes -= it->second.reserved;
+        BESS_GAUGE_SUB_IN(scope_, "vm.reserved.bytes",
+                          it->second.reserved);
         seg->large.erase(it);
       }
     } else if (!(slot->flags & kSlotVeryLarge)) {
@@ -774,8 +770,8 @@ Status SegmentMapper::RelocateData(SegmentId id, uint16_t new_area,
         }));
     DropRangeLocked(seg->data_base);
     (void)arena_.Release(seg->data_base, seg->data_reserved);
-    stats_.reserved_bytes += new_reserved;
-    stats_.reserved_bytes -= seg->data_reserved;
+    BESS_GAUGE_ADD_IN(scope_, "vm.reserved.bytes", new_reserved);
+    BESS_GAUGE_SUB_IN(scope_, "vm.reserved.bytes", seg->data_reserved);
     seg->data_base = new_base;
     seg->data_reserved = new_reserved;
     AddRangeLocked(new_base, new_reserved, seg, Kind::kData);
@@ -909,7 +905,7 @@ Status SegmentMapper::UnswizzleImageLocked(MappedSegment* seg,
         *outbound_changed = true;
       }
       *field = DiskRef::Pack(out_idx, slot_no);
-      stats_.unswizzled_refs++;
+      BESS_COUNT_IN(scope_, "vm.ref.unswizzle");
     }
   }
   return Status::OK();
@@ -1182,8 +1178,8 @@ Status SegmentMapper::DecommitSegmentLocked(MappedSegment* seg) {
   if (seg->slotted_mapped) {
     BESS_RETURN_IF_ERROR(vmem::CommitAnonymous(
         seg->slotted_base, seg->slotted_reserved, vmem::kNone));
-    stats_.committed_bytes -=
-        static_cast<size_t>(seg->slotted_pages) * kPageSize;
+    BESS_GAUGE_SUB_IN(scope_, "vm.committed.bytes",
+                      static_cast<size_t>(seg->slotted_pages) * kPageSize);
     seg->slotted_mapped = false;
     seg->slotted_pages = 0;
     seg->slotted_dirty = false;
@@ -1191,8 +1187,9 @@ Status SegmentMapper::DecommitSegmentLocked(MappedSegment* seg) {
   if (seg->data_mapped) {
     BESS_RETURN_IF_ERROR(
         vmem::CommitAnonymous(seg->data_base, seg->data_reserved, vmem::kNone));
-    stats_.committed_bytes -= static_cast<size_t>(
-        seg->data_page_state.size()) * kPageSize;
+    BESS_GAUGE_SUB_IN(scope_, "vm.committed.bytes",
+                      static_cast<size_t>(seg->data_page_state.size()) *
+                          kPageSize);
     seg->data_mapped = false;
   }
   seg->data_page_state.clear();
@@ -1203,8 +1200,8 @@ Status SegmentMapper::DecommitSegmentLocked(MappedSegment* seg) {
     if (lr.mapped) {
       BESS_RETURN_IF_ERROR(
           vmem::CommitAnonymous(lr.base, lr.reserved, vmem::kNone));
-      stats_.committed_bytes -=
-          static_cast<size_t>(lr.page_count) * kPageSize;
+      BESS_GAUGE_SUB_IN(scope_, "vm.committed.bytes",
+                        static_cast<size_t>(lr.page_count) * kPageSize);
       lr.mapped = false;
     }
     lr.page_state.assign(lr.page_count, kUnmapped);
@@ -1269,17 +1266,17 @@ Status SegmentMapper::ReleaseSegmentLocked(MappedSegment* seg) {
   BESS_RETURN_IF_ERROR(DecommitSegmentLocked(seg));
   DropRangeLocked(seg->slotted_base);
   (void)arena_.Release(seg->slotted_base, seg->slotted_reserved);
-  stats_.reserved_bytes -= seg->slotted_reserved;
+  BESS_GAUGE_SUB_IN(scope_, "vm.reserved.bytes", seg->slotted_reserved);
   if (seg->data_base != nullptr) {
     DropRangeLocked(seg->data_base);
     (void)arena_.Release(seg->data_base, seg->data_reserved);
-    stats_.reserved_bytes -= seg->data_reserved;
+    BESS_GAUGE_SUB_IN(scope_, "vm.reserved.bytes", seg->data_reserved);
   }
   for (auto& [slot_no, lr] : seg->large) {
     (void)slot_no;
     DropRangeLocked(lr.base);
     (void)arena_.Release(lr.base, lr.reserved);
-    stats_.reserved_bytes -= lr.reserved;
+    BESS_GAUGE_SUB_IN(scope_, "vm.reserved.bytes", lr.reserved);
   }
   return Status::OK();
 }
@@ -1320,7 +1317,7 @@ Result<SlottedView> SegmentMapper::InstallNewSegment(
   const size_t bytes = static_cast<size_t>(slotted_page_count) * kPageSize;
   BESS_RETURN_IF_ERROR(
       vmem::CommitAnonymous(seg->slotted_base, bytes, vmem::kReadWrite));
-  stats_.committed_bytes += bytes;
+  BESS_GAUGE_ADD_IN(scope_, "vm.committed.bytes", bytes);
   BESS_ASSIGN_OR_RETURN(
       SlottedView view,
       SlottedView::Format(seg->slotted_base, bytes, id, file_id,
@@ -1342,7 +1339,7 @@ Result<SlottedView> SegmentMapper::InstallNewSegment(
   if (data_bytes > 0) {
     BESS_RETURN_IF_ERROR(
         vmem::CommitAnonymous(seg->data_base, data_bytes, vmem::kReadWrite));
-    stats_.committed_bytes += data_bytes;
+    BESS_GAUGE_ADD_IN(scope_, "vm.committed.bytes", data_bytes);
   }
   seg->data_mapped = data_page_count > 0;
   seg->data_page_state.assign(data_page_count, kMappedDirty);
@@ -1357,11 +1354,6 @@ Result<SlottedView> SegmentMapper::InstallNewSegment(
     BESS_RETURN_IF_ERROR(vmem::Protect(seg->slotted_base, bytes, vmem::kRead));
   }
   return MappedView(seg);
-}
-
-SegmentMapper::Stats SegmentMapper::stats() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return stats_;
 }
 
 }  // namespace bess

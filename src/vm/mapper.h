@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/scope.h"
 #include "os/fault_dispatcher.h"
 #include "segment/slotted_view.h"
 #include "segment/type_descriptor.h"
@@ -86,18 +87,6 @@ class SegmentMapper : public FaultRangeOwner {
     /// Optional fetch observer: a caching store layer registers here to see
     /// which page runs fault in, feeding its sequential-run prefetcher.
     PrefetchSink* prefetch_sink = nullptr;
-  };
-
-  struct Stats {
-    uint64_t slotted_faults = 0;
-    uint64_t data_faults = 0;
-    uint64_t write_faults = 0;
-    uint64_t large_faults = 0;
-    uint64_t swizzled_refs = 0;
-    uint64_t unswizzled_refs = 0;
-    uint64_t bytes_fetched = 0;
-    uint64_t reserved_bytes = 0;   ///< address space handed out (current)
-    uint64_t committed_bytes = 0;  ///< memory actually populated (current)
   };
 
   SegmentMapper(SegmentStore* store, TypeTable* types, Options opts);
@@ -238,7 +227,9 @@ class SegmentMapper : public FaultRangeOwner {
 
   bool OnFault(void* addr, bool is_write) override;
 
-  Stats stats() const;
+  /// vm.* fault/swizzle counters, vm.fetch.bytes, the vm.reserved.bytes and
+  /// vm.committed.bytes gauges, and cache.hit/cache.miss per segment.
+  Stats stats() const { return scope_.Snapshot(); }
   SegmentStore* store() const { return store_; }
   TypeTable* types() const { return types_; }
 
@@ -341,7 +332,7 @@ class SegmentMapper : public FaultRangeOwner {
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, std::unique_ptr<MappedSegment>> segments_;
   std::map<uintptr_t, Range> ranges_;  // by begin address
-  Stats stats_;
+  obs::Scope scope_;
 };
 
 }  // namespace bess

@@ -22,10 +22,13 @@ Status RecoveryManager::Run() {
     BESS_SPAN("wal.recovery.redo");
     BESS_RETURN_IF_ERROR(Redo(redo_start));
   }
+  // The run's result counts each event once; the registry gets its totals.
+  BESS_COUNT_N("wal.recovery.redo.pages", stats_.redo_pages);
   {
     BESS_SPAN("wal.recovery.undo");
     BESS_RETURN_IF_ERROR(Undo());
   }
+  BESS_COUNT_N("wal.recovery.undo.records", stats_.undo_records);
   stats_.recovered_tail_lsn = log_->tail_lsn();
   stats_.torn_tail = log_->tail_was_torn();
   return sink_->Sync();
@@ -67,7 +70,6 @@ Status RecoveryManager::Redo(Lsn from) {
   auto apply = [&](PageAddr page, const std::string& image, Lsn lsn) {
     BESS_RETURN_IF_ERROR(sink_->WritePage(page, image.data(), lsn));
     stats_.redo_pages++;
-    BESS_COUNT("wal.recovery.redo.pages");
     return Status::OK();
   };
   return log_->Scan(from, [&](Lsn lsn, const LogRecord& rec) {
@@ -140,7 +142,6 @@ Status RecoveryManager::Undo() {
       if (rec.type == LogRecordType::kIndexPut ||
           rec.type == LogRecordType::kIndexDelete) {
         stats_.undo_records++;
-        BESS_COUNT("wal.recovery.undo.records");
         if (opts_.index_undo) {
           Lsn new_tail = state.last_lsn;
           BESS_RETURN_IF_ERROR(
@@ -155,7 +156,6 @@ Status RecoveryManager::Undo() {
       }
       if (rec.type == LogRecordType::kPageWrite) {
         stats_.undo_records++;
-        BESS_COUNT("wal.recovery.undo.records");
         if (!rec.before.empty()) {
           BESS_RETURN_IF_ERROR(
               sink_->WritePage(rec.page, rec.before.data(), kNullLsn));

@@ -410,8 +410,9 @@ TEST_F(AsyncIoTest, ScanRangeDeliversInOrderAndCountsPrefetchHits) {
   for (uint32_t i = 0; i < 48; ++i) EXPECT_EQ(order[i], i);
 
   auto stats = table.stats();
-  EXPECT_EQ(stats.scan_pages, 48u);
-  EXPECT_GT(stats.scan_staged, 0u) << "push path never staged a read";
+  EXPECT_EQ(stats.counter("cache.scan.pages"), 48u);
+  EXPECT_GT(stats.counter("cache.scan.staged"), 0u)
+      << "push path never staged a read";
   table.Stop();
 }
 

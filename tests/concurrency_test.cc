@@ -221,12 +221,14 @@ TEST(LockShardTest, DisjointKeysNeverWait) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  const LockStats stats = lm.stats();
-  EXPECT_EQ(stats.acquires, static_cast<uint64_t>(kThreads) * kRounds);
-  EXPECT_EQ(stats.immediate_grants, stats.acquires)
+  const Stats stats = lm.stats();
+  EXPECT_EQ(stats.counter("txn.lock.acquire"),
+            static_cast<uint64_t>(kThreads) * kRounds);
+  EXPECT_EQ(stats.counter("txn.lock.immediate_grant"),
+            stats.counter("txn.lock.acquire"))
       << "disjoint keys serialized on each other";
-  EXPECT_EQ(stats.waits, 0u);
-  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.counter("txn.lock.wait"), 0u);
+  EXPECT_EQ(stats.counter("txn.lock.timeout"), 0u);
 }
 
 // Fairness under contention: everyone hammering one hot key gets through
@@ -253,7 +255,7 @@ TEST(LockShardTest, HotKeyStormStarvesNobody) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0) << "a waiter starved on the hot key";
-  EXPECT_EQ(lm.stats().timeouts, 0u);
+  EXPECT_EQ(lm.stats().counter("txn.lock.timeout"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -374,8 +376,8 @@ TEST_F(GrantReapTest, ReapFreesWholeLockSetForConcurrentWaiters) {
   EXPECT_TRUE(commit_c.ok()) << commit_c.ToString();
 
   const auto stats = server_->stats();
-  EXPECT_GT(stats.callback_timeouts, 0u);
-  EXPECT_GT(stats.sessions_reaped, 0u);
+  EXPECT_GT(stats.counter("srv.callback.timeout"), 0u);
+  EXPECT_GT(stats.counter("srv.session.close"), 0u);
 }
 
 }  // namespace

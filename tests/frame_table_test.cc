@@ -210,10 +210,10 @@ TEST(FrameTableTest, WritebackAlwaysLiftsProtectionFirst) {
   EXPECT_GT(io.writes(), 0u);
   EXPECT_GT(placement.prepare_calls(), 0u);
 
-  const FrameTable::Stats stats = table.stats();
-  EXPECT_EQ(stats.misses, 32u);
-  EXPECT_GE(stats.evictions, 28u);
-  EXPECT_GE(stats.sync_writebacks, 1u);
+  const Stats stats = table.stats();
+  EXPECT_EQ(stats.counter("cache.miss"), 32u);
+  EXPECT_GE(stats.counter("cache.eviction"), 28u);
+  EXPECT_GE(stats.counter("cache.evict.sync_writeback"), 1u);
 }
 
 TEST(FrameTableTest, LifecycleStatesStayConsistent) {
@@ -339,7 +339,7 @@ TEST(FrameTableTest, Lru2BeatsClockOnLoopingScanTrace) {
         EXPECT_TRUE(table.Fix(Key(page), false).ok());
       }
     }
-    return table.stats().hits;
+    return table.stats().counter("cache.hit");
   };
 
   const uint64_t lru2_hits = run("lru2");
@@ -464,18 +464,19 @@ TEST(FrameTableTest, BgwriterCleansAheadSoEvictionsSkipSyncWriteback) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().bgwriter_flushed >= 8) break;
+    if (table.stats().counter("cache.bgwriter.flushed") >= 8) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ASSERT_GE(table.stats().bgwriter_flushed, 8u) << "bgwriter never caught up";
+  ASSERT_GE(table.stats().counter("cache.bgwriter.flushed"), 8u)
+      << "bgwriter never caught up";
 
   // With clean victims available, misses must not pay sync write-back.
   for (uint32_t p = 8; p < 16; ++p) {
     ASSERT_TRUE(table.Fix(Key(p), /*for_write=*/false).ok());
   }
-  const FrameTable::Stats stats = table.stats();
-  EXPECT_EQ(stats.sync_writebacks, 0u);
-  EXPECT_GE(stats.bgwriter_rounds, 1u);
+  const Stats stats = table.stats();
+  EXPECT_EQ(stats.counter("cache.evict.sync_writeback"), 0u);
+  EXPECT_GE(stats.counter("cache.bgwriter.round"), 1u);
   EXPECT_EQ(store.pages_fetched(), 16u);
 }
 
@@ -502,15 +503,16 @@ TEST(FrameTableTest, SequentialMissesTriggerReadAheadAndScoreHits) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().prefetch_issued >= 1) break;
+    if (table.stats().counter("cache.prefetch.issued") >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ASSERT_GE(table.stats().prefetch_issued, 1u) << "read-ahead never issued";
+  ASSERT_GE(table.stats().counter("cache.prefetch.issued"), 1u)
+      << "read-ahead never issued";
 
   // The staged pages are already resident: demanding them scores prefetch
   // hits without demand misses. (Total store fetches may still grow — each
   // hit re-feeds the detector, which keeps the read-ahead pipeline running.)
-  const uint64_t misses_before = table.stats().misses;
+  const uint64_t misses_before = table.stats().counter("cache.miss");
   uint32_t p = 3;
   for (; p < 3 + opts.prefetch_window; ++p) {
     if (!table.Contains(Key(p))) break;
@@ -521,9 +523,9 @@ TEST(FrameTableTest, SequentialMissesTriggerReadAheadAndScoreHits) {
     EXPECT_EQ(got, p) << "prefetched frame holds wrong bytes";
   }
   EXPECT_GT(p, 3u) << "no prefetched page was resident";
-  const FrameTable::Stats stats = table.stats();
-  EXPECT_GE(stats.prefetch_hits, 1u);
-  EXPECT_EQ(stats.misses, misses_before);
+  const Stats stats = table.stats();
+  EXPECT_GE(stats.counter("cache.prefetch.hits"), 1u);
+  EXPECT_EQ(stats.counter("cache.miss"), misses_before);
 }
 
 TEST(FrameTableTest, WastedPrefetchesAreCountedOnEviction) {
@@ -544,10 +546,10 @@ TEST(FrameTableTest, WastedPrefetchesAreCountedOnEviction) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().prefetch_issued >= 1) break;
+    if (table.stats().counter("cache.prefetch.issued") >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ASSERT_GE(table.stats().prefetch_issued, 1u);
+  ASSERT_GE(table.stats().counter("cache.prefetch.issued"), 1u);
 
   // Abandon the run: churn unrelated pages (stride 3 so the detector never
   // sees a new sequence) until the speculative frames recycle. Undemanded
@@ -555,9 +557,9 @@ TEST(FrameTableTest, WastedPrefetchesAreCountedOnEviction) {
   for (uint32_t p = 40; p < 100; p += 3) {
     ASSERT_TRUE(table.Fix(Key(p), false).ok());
   }
-  const FrameTable::Stats stats = table.stats();
-  EXPECT_GE(stats.prefetch_wasted, 1u);
-  EXPECT_EQ(stats.prefetch_hits, 0u);
+  const Stats stats = table.stats();
+  EXPECT_GE(stats.counter("cache.prefetch.wasted"), 1u);
+  EXPECT_EQ(stats.counter("cache.prefetch.hits"), 0u);
 }
 
 // ---- write-back exclusivity -------------------------------------------------
@@ -724,7 +726,7 @@ TEST(FrameTableTest, PressureWaitWakesWhenLastDirtyFrameGetsPinned) {
 
   // Once T1 is inside the pressure wait, pin B: now nothing is cleanable
   // and waiting is futile — T1 must return Busy without sleeping the slice.
-  while (table.stats().pressure_waits == 0) {
+  while (table.stats().counter("cache.bgwriter.pressure_wait") == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   auto b2 = table.Fix(Key(1), false, /*pin=*/true);
@@ -862,22 +864,23 @@ TEST(FrameTableTest, AsyncBgwriterBatchesPayOneWalGatePerBatch) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().bgwriter_flushed >= 8) break;
+    if (table.stats().counter("cache.bgwriter.flushed") >= 8) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  FrameTable::Stats stats = table.stats();
-  ASSERT_GE(stats.bgwriter_flushed, 8u) << "async bgwriter never caught up";
-  EXPECT_GE(stats.async_flush_batches, 1u);
-  EXPECT_EQ(io.gates(), stats.async_flush_batches)
+  Stats stats = table.stats();
+  ASSERT_GE(stats.counter("cache.bgwriter.flushed"), 8u)
+      << "async bgwriter never caught up";
+  EXPECT_GE(stats.counter("cache.bgwriter.async_batch"), 1u);
+  EXPECT_EQ(io.gates(), stats.counter("cache.bgwriter.async_batch"))
       << "expected exactly one WAL gate per async flush batch";
-  EXPECT_LT(io.gates(), stats.bgwriter_flushed)
+  EXPECT_LT(io.gates(), stats.counter("cache.bgwriter.flushed"))
       << "gate per page means batching bought nothing";
 
   // Clean victims exist; misses must not pay sync write-back.
   for (uint32_t p = 8; p < 16; ++p) {
     ASSERT_TRUE(table.Fix(Key(p), false).ok());
   }
-  EXPECT_EQ(table.stats().sync_writebacks, 0u);
+  EXPECT_EQ(table.stats().counter("cache.evict.sync_writeback"), 0u);
   table.Stop();
 }
 
@@ -915,10 +918,11 @@ TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().prefetch_issued >= 1) break;
+    if (table.stats().counter("cache.prefetch.issued") >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  ASSERT_GE(table.stats().prefetch_issued, 1u) << "read-ahead never issued";
+  ASSERT_GE(table.stats().counter("cache.prefetch.issued"), 1u)
+      << "read-ahead never issued";
 
   // Abandon the run and churn unrelated pages so the speculative frames
   // recycle while reordered completions are still in flight.
@@ -937,9 +941,10 @@ TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
         << "frame " << f << " leaked in kLoading after Stop";
     if (table.meta(f)->prefetched.load() != 0) ++still_resident;
   }
-  const FrameTable::Stats stats = table.stats();
-  EXPECT_EQ(stats.prefetch_issued,
-            stats.prefetch_hits + stats.prefetch_wasted + still_resident);
+  const Stats stats = table.stats();
+  EXPECT_EQ(stats.counter("cache.prefetch.issued"),
+            stats.counter("cache.prefetch.hits") +
+                stats.counter("cache.prefetch.wasted") + still_resident);
 }
 
 TEST(FrameTableTest, PrefetchIsRejectedForCrossProcessDirectories) {

@@ -53,7 +53,7 @@ TEST(LockManagerTest, ExclusiveConflictTimesOutAsDeadlock) {
   ASSERT_TRUE(lm.Acquire(1, key, LockMode::kX).ok());
   Status s = lm.Acquire(2, key, LockMode::kX);
   EXPECT_TRUE(s.IsDeadlock()) << s.ToString();
-  EXPECT_EQ(lm.stats().timeouts, 1u);
+  EXPECT_EQ(lm.stats().counter("txn.lock.timeout"), 1u);
 }
 
 TEST(LockManagerTest, ReacquireIsIdempotentUpgradeIsNot) {
@@ -68,7 +68,7 @@ TEST(LockManagerTest, ReacquireIsIdempotentUpgradeIsNot) {
   ASSERT_TRUE(lm.Acquire(1, key, LockMode::kX).ok());
   ASSERT_TRUE(lm.Holds(1, key, &m));
   EXPECT_EQ(m, LockMode::kX);
-  EXPECT_GE(lm.stats().upgrades, 1u);
+  EXPECT_GE(lm.stats().counter("txn.lock.upgrade"), 1u);
   // Downgrade request is a no-op (join keeps X).
   ASSERT_TRUE(lm.Acquire(1, key, LockMode::kS).ok());
   ASSERT_TRUE(lm.Holds(1, key, &m));
@@ -102,7 +102,7 @@ TEST(LockManagerTest, WaiterWakesOnRelease) {
   lm.ReleaseAll(1);
   waiter.join();
   EXPECT_TRUE(acquired);
-  EXPECT_GE(lm.stats().waits, 1u);
+  EXPECT_GE(lm.stats().counter("txn.lock.wait"), 1u);
 }
 
 TEST(LockManagerTest, TryAcquireNeverBlocks) {

@@ -94,8 +94,8 @@ TEST_F(MapperTest, CreateWriteBackRefetch) {
   EXPECT_STREQ(reinterpret_cast<const char*>(s->dp), payload);
 
   auto stats = mapper_->stats();
-  EXPECT_EQ(stats.slotted_faults, 1u);
-  EXPECT_EQ(stats.data_faults, 1u);
+  EXPECT_EQ(stats.counter("vm.fault.slotted"), 1u);
+  EXPECT_EQ(stats.counter("vm.fault.data"), 1u);
 }
 
 TEST_F(MapperTest, FreshSegmentReadableWithoutWriteBack) {
@@ -145,7 +145,7 @@ TEST_F(MapperTest, SwizzleRoundTrip) {
   EXPECT_EQ(reinterpret_cast<Node*>(sa1->dp)->value, 222u);
 
   auto stats = mapper_->stats();
-  EXPECT_GT(stats.swizzled_refs, 0u);
+  EXPECT_GT(stats.counter("vm.ref.swizzle"), 0u);
 }
 
 TEST_F(MapperTest, LazyVsGreedyReservation) {
@@ -166,7 +166,7 @@ TEST_F(MapperTest, LazyVsGreedyReservation) {
     volatile uint64_t sink = reinterpret_cast<Node*>((*addr)->dp)->value;
     (void)sink;
     auto stats = mapper_->stats();
-    EXPECT_EQ(stats.slotted_faults, 1u);  // only A
+    EXPECT_EQ(stats.counter("vm.fault.slotted"), 1u);  // only A
     EXPECT_TRUE(mapper_->IsKnown(kSegB));
     EXPECT_FALSE(mapper_->IsMapped(kSegB));
   }
@@ -183,7 +183,7 @@ TEST_F(MapperTest, LazyVsGreedyReservation) {
     (void)sink;
     EXPECT_TRUE(mapper_->IsMapped(kSegB));
     auto stats = mapper_->stats();
-    EXPECT_EQ(stats.slotted_faults, 2u);  // A and B
+    EXPECT_EQ(stats.counter("vm.fault.slotted"), 2u);  // A and B
   }
 }
 
@@ -205,7 +205,7 @@ TEST_F(MapperTest, UpdateDetectionRecordsWriteSet) {
   ASSERT_EQ(obs.writes.size(), 1u);
   EXPECT_EQ(obs.writes[0].page, 1000u);
   auto stats = mapper_->stats();
-  EXPECT_EQ(stats.write_faults, 1u);
+  EXPECT_EQ(stats.counter("vm.fault.detect"), 1u);
 
   std::vector<PageImage> dirty;
   ASSERT_TRUE(mapper_->CollectDirty(&dirty).ok());

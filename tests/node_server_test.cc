@@ -259,7 +259,8 @@ TEST_F(NodeServerTest, CallbacksDeniedWhileAppHoldsThenReadSeesWriter) {
   RemoteClient* writer = Connect(server_path_, /*cache_inter_txn=*/false,
                                  /*lock_timeout_ms=*/10000);
   ASSERT_NE(writer, nullptr);
-  const uint64_t denied_before = server_->stats().callbacks_denied;
+  const uint64_t denied_before =
+      server_->stats().counter("srv.callback.denied");
   std::atomic<bool> writer_done{false};
   Status writer_status;
   std::thread w([&] {
@@ -272,7 +273,9 @@ TEST_F(NodeServerTest, CallbacksDeniedWhileAppHoldsThenReadSeesWriter) {
     writer_done.store(true);
   });
   EXPECT_TRUE(WaitFor(
-      [&] { return server_->stats().callbacks_denied > denied_before; },
+      [&] {
+        return server_->stats().counter("srv.callback.denied") > denied_before;
+      },
       5000))
       << "the node should deny callbacks while the app holds the lock";
   EXPECT_FALSE(writer_done.load());
@@ -281,11 +284,14 @@ TEST_F(NodeServerTest, CallbacksDeniedWhileAppHoldsThenReadSeesWriter) {
   ASSERT_TRUE(writer_status.ok()) << writer_status.ToString();
 
   const uint64_t fetches_before = node_->stats().upstream_fetches;
+  const uint64_t misses_before = node_->scope_stats().counter("cache.miss");
   auto v = ReadX(app);
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_EQ(*v, 6u);
   EXPECT_GT(node_->stats().upstream_fetches, fetches_before)
       << "the released callback must have dropped the node's pages";
+  // The cold read misses the node cache, and the node's scope counts it.
+  EXPECT_GT(node_->scope_stats().counter("cache.miss"), misses_before);
 }
 
 // The upstream connection dies mid-RPC (fault injector): the node
@@ -426,7 +432,7 @@ TEST_F(NodeServerTest, ExpiredWireDeadlineIsShedAtTheNode) {
   StartServer(so, /*with_db=*/false);
   StartNode();
   MsgSocket raw = ConnectRaw();
-  const uint64_t upstream_requests = server_->stats().requests;
+  const uint64_t upstream_requests = server_->stats().counter("srv.request");
   constexpr int kBurst = 6;
   for (int i = 0; i < kBurst; ++i) {
     // Forwarded (the node does not answer kMsgGetStats itself); a 120ms
@@ -450,10 +456,10 @@ TEST_F(NodeServerTest, ExpiredWireDeadlineIsShedAtTheNode) {
   }
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1);
-  EXPECT_EQ(server_->stats().requests - upstream_requests,
+  EXPECT_EQ(server_->stats().counter("srv.request") - upstream_requests,
             static_cast<uint64_t>(ok))
       << "shed requests must not reach the owning server";
-  EXPECT_EQ(server_->stats().shed_deadline, 0u);
+  EXPECT_EQ(server_->stats().counter("server.overload.shed.deadline"), 0u);
   (void)raw.Send(kMsgGoodbye, "");
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bess/bess.h"
+#include "cache/frame_table.h"
 #include "obs/metrics.h"
 #include "obs/stats.h"
 
@@ -21,7 +22,68 @@ namespace {
 
 using obs::Registry;
 
+// ---- Instance scopes --------------------------------------------------------
+
+/// Two frame tables in one process, each with its own scope.
+struct TwoTables {
+  static FrameTable::Options Opts() {
+    FrameTable::Options o;
+    o.frame_count = 8;
+    return o;
+  }
+
+  /// Scripted work: `a` misses 5 times and hits once, `b` misses twice and
+  /// hits twice (Fix and Get both count).
+  void Run() {
+    ASSERT_TRUE(a.Init().ok());
+    ASSERT_TRUE(b.Init().ok());
+    char page[kPageSize];
+    for (uint64_t key = 1; key <= 4; ++key) ASSERT_TRUE(a.Fix(key, false).ok());
+    ASSERT_TRUE(a.Fix(1, false).ok());
+    EXPECT_FALSE(a.Get(9, page));
+    for (uint64_t key = 1; key <= 2; ++key) ASSERT_TRUE(b.Fix(key, false).ok());
+    EXPECT_TRUE(b.Get(1, page));
+    EXPECT_TRUE(b.Get(2, page));
+  }
+
+  HeapPlacement a_place{8};
+  HeapPlacement b_place{8};
+  FrameTable a{Opts(), &a_place, /*io=*/nullptr};
+  FrameTable b{Opts(), &b_place, /*io=*/nullptr};
+};
+
+TEST(ObsScope, EachInstanceCountsOnlyItsOwnWork) {
+  TwoTables t;
+  t.Run();
+  const Stats a = t.a.stats();
+  const Stats b = t.b.stats();
+  EXPECT_EQ(a.counter("cache.fix"), 6u);
+  EXPECT_EQ(a.counter("cache.miss"), 5u);
+  EXPECT_EQ(a.counter("cache.hit"), 1u);
+  EXPECT_EQ(b.counter("cache.fix"), 4u);
+  EXPECT_EQ(b.counter("cache.miss"), 2u);
+  EXPECT_EQ(b.counter("cache.hit"), 2u);
+}
+
 #if BESS_METRICS_ENABLED
+
+// One count per event: every name a scope counts reaches the process
+// registry through that same count, so the registry delta is the sum of the
+// instance scopes.
+TEST(ObsScope, ProcessRegistryIsTheSumOfScopes) {
+  const Stats before = Snapshot();
+  TwoTables t;
+  t.Run();
+  const Stats delta = StatsDelta(before, Snapshot());
+  const Stats a = t.a.stats();
+  const Stats b = t.b.stats();
+  std::map<std::string, uint64_t> names = a.counters;
+  names.insert(b.counters.begin(), b.counters.end());
+  ASSERT_GE(names.size(), 3u);
+  for (const auto& [name, unused] : names) {
+    EXPECT_EQ(delta.counter(name), a.counter(name) + b.counter(name)) << name;
+  }
+}
 
 TEST(ObsRegistry, CountersAreExactUnderEightThreads) {
   std::vector<char> mem(Registry::BytesFor(64, 1024));
@@ -288,6 +350,16 @@ TEST_F(ObsWorkloadTest, TxnGuardAbortsWhenDropped) {
 }
 
 #else  // !BESS_METRICS_ENABLED
+
+// Instance scopes are not metrics: they count with the registry compiled
+// out, as the per-instance structs they replaced did.
+TEST(ObsDisabled, ScopesStillCount) {
+  TwoTables t;
+  t.Run();
+  EXPECT_TRUE(Snapshot().counters.empty());
+  EXPECT_EQ(t.a.stats().counter("cache.miss"), 5u);
+  EXPECT_EQ(t.b.stats().counter("cache.hit"), 2u);
+}
 
 // Disarmed build: handles and macros must compile to no-ops and snapshots
 // must be empty — the <1% overhead budget's degenerate case.

@@ -122,7 +122,8 @@ TEST_F(OverloadTest, ExpiredDeadlinesShedBeforeDispatchEveryRequestAnswered) {
   EXPECT_EQ(ok + shed, kBurst);
   EXPECT_GE(ok, 1) << "head of the burst was inside its budget";
   EXPECT_GE(shed, 1) << "tail of the burst should have expired";
-  EXPECT_EQ(server_->stats().shed_deadline, static_cast<uint64_t>(shed));
+  EXPECT_EQ(server_->stats().counter("server.overload.shed.deadline"),
+            static_cast<uint64_t>(shed));
   (void)c.Send(kMsgGoodbye, "");
 }
 
@@ -155,7 +156,8 @@ TEST_F(OverloadTest, GlobalInflightCapShedsOverflowWithRetryLater) {
   EXPECT_EQ(ok + shed, kBurst);
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1) << "burst of 40 against a cap of 4 must shed";
-  EXPECT_EQ(server_->stats().shed_admission, static_cast<uint64_t>(shed));
+  EXPECT_EQ(server_->stats().counter("server.overload.shed.admission"),
+            static_cast<uint64_t>(shed));
   (void)c.Send(kMsgGoodbye, "");
 }
 
@@ -201,8 +203,11 @@ TEST_F(OverloadTest, MaxConnectionsClosesExcessAtAccept) {
   (void)extra->Send(kMsgHello, "");
   auto reply = extra->Recv();
   EXPECT_FALSE(reply.ok()) << "connection past the cap must be closed";
-  EXPECT_TRUE(WaitFor([&] { return server_->stats().conns_rejected >= 1; },
-                      2000));
+  EXPECT_TRUE(WaitFor(
+      [&] {
+        return server_->stats().counter("server.overload.conn_rejected") >= 1;
+      },
+      2000));
 
   // Room opens up when a connection leaves.
   kept[0].Close();
@@ -250,7 +255,7 @@ TEST_F(OverloadTest, SlowConsumerIsThrottledThenDisconnected) {
   sender.join();
   EXPECT_TRUE(WaitFor([&] { return server_->live_sessions() == 0; }, 10000))
       << "slow consumer's session not reaped (sent " << sent.load() << ")";
-  EXPECT_GE(server_->stats().sessions_reaped, 1u);
+  EXPECT_GE(server_->stats().counter("srv.session.close"), 1u);
 #if BESS_METRICS_ENABLED
   const ::bess::Stats delta = StatsDelta(before, Snapshot());
   EXPECT_GE(delta.counter("server.overload.slow_consumer.throttle"), 1u);
@@ -371,8 +376,8 @@ TEST_F(OverloadTest, LogFullShedsCommitsWithRetryLater) {
     if (!s.ok()) refused = s;
   }
   EXPECT_TRUE(refused.IsRetryLater()) << refused.ToString();
-  EXPECT_GE(server_->stats().shed_log_full, 1u);
-  EXPECT_GE((*client)->stats().retry_later_backoffs, 1u);
+  EXPECT_GE(server_->stats().counter("server.overload.shed.log_full"), 1u);
+  EXPECT_GE((*client)->stats().counter("client.retry_later.backoff"), 1u);
 }
 
 // The circuit breaker: consecutive transport failures open it, calls then
@@ -410,12 +415,12 @@ TEST_F(OverloadTest, BreakerOpensFailsFastAndHealsViaProbe) {
   EXPECT_FALSE((*client)->ServerStats().ok());
   EXPECT_FALSE((*client)->ServerStats().ok());
   auto cs = (*client)->stats();
-  EXPECT_EQ(cs.breaker_opens, 1u);
+  EXPECT_EQ(cs.counter("client.breaker.open"), 1u);
   // ...and the next call inside the cooldown short-circuits without
   // touching the socket.
   auto r = (*client)->ServerStats();
   EXPECT_TRUE(r.status().IsRetryLater()) << r.status().ToString();
-  EXPECT_GE((*client)->stats().breaker_short_circuits, 1u);
+  EXPECT_GE((*client)->stats().counter("client.breaker.short_circuit"), 1u);
 
   // Server returns; after the cooldown the next caller runs the half-open
   // ping probe (reconnecting under the hood) and the call goes through.
@@ -428,8 +433,8 @@ TEST_F(OverloadTest, BreakerOpensFailsFastAndHealsViaProbe) {
   EXPECT_TRUE(WaitFor([&] { return (*client)->ServerStats().ok(); }, 5000))
       << "breaker never healed after the server came back";
   cs = (*client)->stats();
-  EXPECT_GE(cs.breaker_probes, 1u);
-  EXPECT_GE(cs.reconnects, 1u);
+  EXPECT_GE(cs.counter("client.breaker.probe"), 1u);
+  EXPECT_GE(cs.counter("rpc.reconnect"), 1u);
 }
 
 // A client with a per-RPC deadline gives up waiting locally when the
@@ -473,7 +478,7 @@ TEST_F(OverloadTest, ClientLocalDeadlineBoundsWaitOnWedgedServer) {
   fault::FaultRegistry::Instance().DisarmAll();
   EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
   EXPECT_LT(waited.count(), 1500) << "local deadline did not bound the wait";
-  EXPECT_GE((*client)->stats().deadline_timeouts, 1u);
+  EXPECT_GE((*client)->stats().counter("client.deadline.local"), 1u);
 }
 
 // 500 connect/disconnect cycles (mixed clean goodbyes and abrupt closes):
@@ -504,7 +509,7 @@ TEST_F(OverloadTest, ConnectionChurnLeaksNoFdsOrSessions) {
   EXPECT_TRUE(WaitFor([&] { return OpenFdCount() <= fd_baseline; }, 10000))
       << "fd count " << OpenFdCount() << " never returned to baseline "
       << fd_baseline;
-  EXPECT_GE(server_->stats().sessions_reaped, 500u);
+  EXPECT_GE(server_->stats().counter("srv.session.close"), 500u);
 }
 
 }  // namespace

@@ -46,9 +46,9 @@ TEST_F(PrivatePoolTest, HitsAndMisses) {
     memcpy(&got, *addr, sizeof(got));
     EXPECT_EQ(got, p);
   }
-  EXPECT_EQ((*pool)->stats().misses, 8u);
+  EXPECT_EQ((*pool)->stats().counter("cache.miss"), 8u);
   ASSERT_TRUE((*pool)->Fix(Page(3), false).ok());
-  EXPECT_EQ((*pool)->stats().hits, 1u);
+  EXPECT_EQ((*pool)->stats().counter("cache.hit"), 1u);
 }
 
 TEST_F(PrivatePoolTest, WriteDetectionMarksDirtyOnlyOnWrite) {
@@ -60,11 +60,11 @@ TEST_F(PrivatePoolTest, WriteDetectionMarksDirtyOnlyOnWrite) {
   volatile char c = *static_cast<char*>(*addr);
   (void)c;
   ASSERT_TRUE((*pool)->FlushDirty().ok());
-  EXPECT_EQ((*pool)->stats().dirty_writebacks, 0u);
+  EXPECT_EQ((*pool)->stats().counter("cache.writeback"), 0u);
   // A raw store faults once and marks dirty.
   static_cast<char*>(*addr)[100] = 'W';
   ASSERT_TRUE((*pool)->FlushDirty().ok());
-  EXPECT_EQ((*pool)->stats().dirty_writebacks, 1u);
+  EXPECT_EQ((*pool)->stats().counter("cache.writeback"), 1u);
   std::string check(kPageSize, '\0');
   ASSERT_TRUE(store_.FetchPages(1, 0, 1, 1, check.data()).ok());
   EXPECT_EQ(check[100], 'W');
@@ -78,7 +78,7 @@ TEST_F(PrivatePoolTest, EvictionWritesBackAndDataSurvives) {
     ASSERT_TRUE(addr.ok());
     memcpy(static_cast<char*>(*addr) + 8, &p, sizeof(p));
   }
-  EXPECT_GT((*pool)->stats().evictions, 0u);
+  EXPECT_GT((*pool)->stats().counter("cache.eviction"), 0u);
   ASSERT_TRUE((*pool)->FlushDirty().ok());
   for (uint32_t p = 0; p < 16; ++p) {
     std::string check(kPageSize, '\0');
@@ -103,7 +103,7 @@ TEST_F(PrivatePoolTest, ProtectedFrameGetsSecondChanceOnRawTouch) {
   uint32_t got;
   memcpy(&got, held, sizeof(got));  // faults; handler grants second chance
   EXPECT_EQ(got, a_alive ? 0u : 1u);
-  EXPECT_GT((*pool)->stats().second_chances, 0u);
+  EXPECT_GT((*pool)->stats().counter("cache.second_chance"), 0u);
 }
 
 TEST_F(PrivatePoolTest, RawTouchKeepsFrameAliveThroughNextSweep) {
@@ -125,7 +125,7 @@ TEST_F(PrivatePoolTest, RawTouchKeepsFrameAliveThroughNextSweep) {
   }
   EXPECT_TRUE((*pool)->Contains(Page(1)));
   EXPECT_FALSE((*pool)->Contains(Page(2)));  // untouched: evicted
-  EXPECT_GT((*pool)->stats().second_chances, 0u);
+  EXPECT_GT((*pool)->stats().counter("cache.second_chance"), 0u);
 }
 
 TEST_F(PrivatePoolTest, ClearDropsEverything) {
@@ -151,8 +151,8 @@ TEST_F(PrivatePoolTest, LruPoolBasics) {
   ASSERT_TRUE(pool.Fix(Page(0), false).ok());  // 0 is now MRU
   ASSERT_TRUE(pool.Fix(Page(2), false).ok());  // evicts 1 (LRU)
   ASSERT_TRUE(pool.Fix(Page(0), false).ok());
-  EXPECT_EQ(pool.stats().hits, 2u);
-  EXPECT_EQ(pool.stats().evictions, 1u);
+  EXPECT_EQ(pool.stats().counter("cache.hit"), 2u);
+  EXPECT_EQ(pool.stats().counter("cache.eviction"), 1u);
 }
 
 TEST_F(PrivatePoolTest, ClassicClockBasics) {
@@ -160,8 +160,8 @@ TEST_F(PrivatePoolTest, ClassicClockBasics) {
   ASSERT_TRUE(pool.Fix(Page(0), false).ok());
   ASSERT_TRUE(pool.Fix(Page(1), false).ok());
   ASSERT_TRUE(pool.Fix(Page(2), false).ok());  // one of 0/1 evicted
-  EXPECT_EQ(pool.stats().evictions, 1u);
-  EXPECT_EQ(pool.stats().misses, 3u);
+  EXPECT_EQ(pool.stats().counter("cache.eviction"), 1u);
+  EXPECT_EQ(pool.stats().counter("cache.miss"), 3u);
 }
 
 TEST_F(PrivatePoolTest, BaselinesMissRawTouches) {
@@ -195,9 +195,9 @@ TEST_F(PrivatePoolTest, BaselinesMissRawTouches) {
   }
   // BeSS kept the touched page; the classic clock threw it out.
   EXPECT_TRUE((*bess_pool)->Contains(Page(1)));
-  const uint64_t misses_before = classic.stats().misses;
+  const uint64_t misses_before = classic.stats().counter("cache.miss");
   ASSERT_TRUE(classic.Fix(Page(1), false).ok());
-  EXPECT_EQ(classic.stats().misses, misses_before + 1)
+  EXPECT_EQ(classic.stats().counter("cache.miss"), misses_before + 1)
       << "classic clock unexpectedly kept the raw-touched page";
 }
 

@@ -185,7 +185,7 @@ TEST_F(ReactorTest, AbruptDisconnectReapsSessionAndFreesLocks) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->type, kMsgOk) << "lock not granted after holder vanished";
   EXPECT_EQ(reply->req_id, 2u);
-  EXPECT_GE(server_->stats().sessions_reaped, 1u);
+  EXPECT_GE(server_->stats().counter("srv.session.close"), 1u);
   (void)waiter.Send(kMsgGoodbye, "");
 }
 

@@ -130,9 +130,9 @@ TEST_F(ServerTest, InterTransactionCachingSkipsServer) {
   EXPECT_EQ(*reinterpret_cast<uint64_t*>(again->dp), 9u);
   ASSERT_TRUE(reader->Commit().ok());
   const auto stats2 = reader->stats();
-  EXPECT_EQ(stats2.lock_rpcs, stats1.lock_rpcs);
+  EXPECT_EQ(stats2.counter("rpc.lock"), stats1.counter("rpc.lock"));
   auto mstats = reader->mapper()->stats();
-  EXPECT_GT(mstats.slotted_faults, 0u);
+  EXPECT_GT(mstats.counter("vm.fault.slotted"), 0u);
 
   // The no-caching client refetches every transaction (node-less mode).
   RemoteClient* cold = Connect(/*cache_inter_txn=*/false);
@@ -141,13 +141,14 @@ TEST_F(ServerTest, InterTransactionCachingSkipsServer) {
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(*reinterpret_cast<uint64_t*>((*r1)->dp), 9u);
   ASSERT_TRUE(cold->Commit().ok());
-  const uint64_t faults_before = cold->mapper()->stats().slotted_faults;
+  const uint64_t faults_before =
+      cold->mapper()->stats().counter("vm.fault.slotted");
   ASSERT_TRUE(cold->Begin().ok());
   auto r2 = cold->GetRoot("x");
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(*reinterpret_cast<uint64_t*>((*r2)->dp), 9u);
   ASSERT_TRUE(cold->Commit().ok());
-  EXPECT_GT(cold->mapper()->stats().slotted_faults, faults_before)
+  EXPECT_GT(cold->mapper()->stats().counter("vm.fault.slotted"), faults_before)
       << "cache should have been dropped between transactions";
 }
 
@@ -173,11 +174,15 @@ TEST_F(ServerTest, CallbackTransfersCachedLock) {
   ASSERT_TRUE(commit.ok()) << commit.ToString();
 
   const auto server_stats = server_->stats();
-  EXPECT_GT(server_stats.callbacks_sent, 0u);
-  EXPECT_GT(server_stats.callbacks_released, 0u);
+  EXPECT_GT(server_stats.counter("srv.callback.sent"), 0u);
+  EXPECT_GT(server_stats.counter("srv.callback.released"), 0u);
   const auto a_stats = a->stats();
-  EXPECT_GT(a_stats.callbacks_received, 0u);
-  EXPECT_GT(a_stats.callbacks_released, 0u);
+  EXPECT_GT(a_stats.counter("client.callback.received"), 0u);
+  EXPECT_GT(a_stats.counter("client.callback.released"), 0u);
+  // Each callback ends in exactly one outcome, counted once it is final.
+  EXPECT_EQ(a_stats.counter("client.callback.received"),
+            a_stats.counter("client.callback.released") +
+                a_stats.counter("client.callback.denied"));
 
   // A's cached copy was dropped with the lock: it re-reads B's value.
   ASSERT_TRUE(a->Begin().ok());
@@ -215,7 +220,13 @@ TEST_F(ServerTest, CallbackDeniedWhileLockInUse) {
     EXPECT_FALSE(s.ok());
   }  // else: even the read lock was refused — also acceptable
   const auto server_stats = server_->stats();
-  EXPECT_GT(server_stats.callbacks_denied, 0u);
+  EXPECT_GT(server_stats.counter("srv.callback.denied"), 0u);
+  // The server saw each answer after A counted it: A's outcomes add up.
+  const auto a_stats = a->stats();
+  EXPECT_GT(a_stats.counter("client.callback.denied"), 0u);
+  EXPECT_EQ(a_stats.counter("client.callback.received"),
+            a_stats.counter("client.callback.released") +
+                a_stats.counter("client.callback.denied"));
 
   ASSERT_TRUE(a->Commit().ok());
   // After A's transaction ends, B can get through.
@@ -395,7 +406,7 @@ TEST_F(ServerTest, LockTimeoutAndCallbackDenialUnderSocketLatency) {
   } else {
     ASSERT_TRUE(b->Abort().ok());
   }
-  EXPECT_GT(server_->stats().callbacks_denied, 0u);
+  EXPECT_GT(server_->stats().counter("srv.callback.denied"), 0u);
   EXPECT_GT(fault::FaultRegistry::Instance().hits("sock.send"), 0u)
       << "latency injection never matched a client send";
 
@@ -437,8 +448,8 @@ TEST_F(ServerTest, RpcRetriesAndReconnectsAfterTransportFailure) {
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_EQ(*reinterpret_cast<uint64_t*>((*root)->dp), 7u);
   const auto stats = b->stats();
-  EXPECT_GE(stats.rpc_retries, 1u);
-  EXPECT_GE(stats.reconnects, 1u);
+  EXPECT_GE(stats.counter("rpc.retry"), 1u);
+  EXPECT_GE(stats.counter("rpc.reconnect"), 1u);
 
   // The transaction that lived through the reconnect lost its 2PL guarantee.
   EXPECT_FALSE(b->Commit().ok());
@@ -478,9 +489,9 @@ TEST_F(ServerTest, CommitReplayedAfterLostReplyAppliesOnce) {
   fault::FaultRegistry::Instance().DisarmAll();
   ASSERT_TRUE(s.ok()) << s.ToString();
   const auto cstats = c->stats();
-  EXPECT_GE(cstats.rpc_retries, 1u);
-  EXPECT_GE(cstats.reconnects, 1u);
-  EXPECT_GE(server_->stats().commit_dedupes, 1u)
+  EXPECT_GE(cstats.counter("rpc.retry"), 1u);
+  EXPECT_GE(cstats.counter("rpc.reconnect"), 1u);
+  EXPECT_GE(server_->stats().counter("srv.commit.dedupe"), 1u)
       << "the replayed commit should have been recognized, not re-applied";
 
   // Exactly-once: the new value is there, and there is exactly one object.
@@ -578,14 +589,14 @@ TEST_F(ServerTest, CoordinatorDeathAtDecisionPresumedAbort) {
 
   // aborted. Poll: session teardown is asynchronous.
   for (int i = 0; i < 200; ++i) {
-    if (server_->stats().sessions_reaped > 0 &&
-        server2_->stats().sessions_reaped > 0) {
+    if (server_->stats().counter("srv.session.close") > 0 &&
+        server2_->stats().counter("srv.session.close") > 0) {
       break;
     }
     ::usleep(10 * 1000);
   }
-  EXPECT_GT(server_->stats().sessions_reaped, 0u);
-  EXPECT_GT(server2_->stats().sessions_reaped, 0u);
+  EXPECT_GT(server_->stats().counter("srv.session.close"), 0u);
+  EXPECT_GT(server2_->stats().counter("srv.session.close"), 0u);
 
   // Neither update became visible, and both objects are writable again
   // (locks and prepared state were cleaned up).
@@ -695,7 +706,7 @@ TEST_F(ServerTest, LockRetryBackoffOutlastsContention) {
   EXPECT_TRUE(commit.ok()) << commit.ToString();
 
   // The win came through the backoff path, not first-try luck.
-  EXPECT_GT(b->stats().lock_backoffs, 0u);
+  EXPECT_GT(b->stats().counter("client.lock.backoff"), 0u);
 #if BESS_METRICS_ENABLED
   EXPECT_GT(Snapshot().counter("client.lock.backoff"), 0u);
 #endif
@@ -755,8 +766,8 @@ TEST_F(ServerTest, CallbackTimeoutTearsDownUnresponsiveHolder) {
   EXPECT_TRUE(commit.ok()) << commit.ToString();
 
   const auto stats = server_->stats();
-  EXPECT_GT(stats.callback_timeouts, 0u);
-  EXPECT_GT(stats.sessions_reaped, 0u);
+  EXPECT_GT(stats.counter("srv.callback.timeout"), 0u);
+  EXPECT_GT(stats.counter("srv.session.close"), 0u);
 #if BESS_METRICS_ENABLED
   EXPECT_GT(Snapshot().counter("srv.callback.timeout"), 0u);
 #endif

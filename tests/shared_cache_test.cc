@@ -95,11 +95,11 @@ TEST_F(SharedCacheTest, FixReadsCorrectPages) {
     memcpy(&got, *addr, sizeof(got));
     EXPECT_EQ(got, p);
   }
-  EXPECT_EQ((*space)->stats().misses, 4u);
+  EXPECT_EQ((*space)->stats().counter("cache.miss"), 4u);
   // Re-fix: all hits, same addresses.
   auto again = (*space)->Fix(Page(2), false);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*space)->stats().hits, 1u);
+  EXPECT_EQ((*space)->stats().counter("cache.hit"), 1u);
 }
 
 TEST_F(SharedCacheTest, WritesFlushThroughStore) {
@@ -134,7 +134,7 @@ TEST_F(SharedCacheTest, ReplacementEvictsAndDataSurvives) {
                            << addr.status().ToString();
     memcpy(static_cast<char*>(*addr) + 64, &p, sizeof(p));
   }
-  EXPECT_GT((*space)->stats().evictions, 0u);
+  EXPECT_GT((*space)->stats().counter("cache.eviction"), 0u);
   ASSERT_TRUE((*space)->FlushDirty().ok());
   // Everything is durable despite the churn.
   for (uint32_t p = 0; p < 12; ++p) {
@@ -165,7 +165,8 @@ TEST_F(SharedCacheTest, PointerSurvivesReplacementViaRefault) {
   uint32_t got;
   memcpy(&got, held, sizeof(got));
   EXPECT_EQ(got, 0u);
-  EXPECT_GT((*space)->stats().second_chances + (*space)->stats().remaps, 0u);
+  const Stats s = (*space)->stats();
+  EXPECT_GT(s.counter("cache.second_chance") + s.counter("cache.remap"), 0u);
 }
 
 TEST_F(SharedCacheTest, SvmaOffsetsAgreeAcrossProcesses) {
