@@ -238,17 +238,12 @@ int main() {
     std::vector<double> runs;
     for (int rep = 0; rep < 3; ++rep) {
       StorePageIo sync_io(&store);
-      AsyncPageIoOptions aopts;
-      aopts.backend = "pool";  // deterministic, as in bench_scan
-      aopts.queue_depth = kQueueDepth;
-      aopts.workers = kQueueDepth;
-      auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
-      if (!aio_io.ok()) return 1;
+      AsyncPageIo aio_io(&sync_io, kQueueDepth);
       HeapPlacement placement(kColdFrames);
       StorePageIo io(&store);
       FrameTable::Options fopts;
       fopts.frame_count = kColdFrames;
-      fopts.async_io = aio_io->get();
+      fopts.async_io = &aio_io;
       fopts.async_queue_depth = kQueueDepth;
       FrameTable table(fopts, &placement, &io);
       if (!table.Init().ok()) return 1;

@@ -7,19 +7,19 @@
 //   pull  — the classic demand path: one Fix per page, each miss paying the
 //           (injected) device latency synchronously before the consumer may
 //           touch the page.
-//   push  — FrameTable::ScanRange with a worker-pool async backend: reads
-//           are staged `queue_depth` ahead of the consumer, so device time
-//           overlaps both compute and the other reads in the batch.
+//   push  — FrameTable::ScanRange over the worker-pool AsyncPageIo: reads
+//           are staged `queue_depth` ahead of the consumer and consecutive
+//           keys coalesce into one device op, so device time overlaps both
+//           compute and the other reads in the batch.
 //
 // Device latency is injected (kLatency on "file.readat") so the ratio is
-// deterministic on any build box — the pool backend is forced for the same
-// reason (uring timing would measure the kernel, not the pipeline; the
-// uring path is covered for correctness by async_io_test). A second phase
-// dirties pages and counts WAL durability gates per async bgwriter batch.
+// deterministic on any build box. A second phase dirties pages and counts
+// WAL durability gates per async bgwriter batch.
 //
 // Writes BENCH_scan.json (flat keys, one per line) for
 // scripts/check_bench_scan.sh:
 //   push pages/s >= 2x pull at queue depth 8,
+//   >= 2 pages per device read op at queue depth 8 (batch_factor_qd8),
 //   cache.evict.sync_writeback == 0,
 //   one WAL gate per async flush batch,
 //   every scanned page verified byte-exact.
@@ -108,18 +108,13 @@ ScanResult RunPull(AreaSegmentStore* store) {
 
 ScanResult RunPush(AreaSegmentStore* store, uint32_t depth) {
   StorePageIo sync_io(store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";  // deterministic; see header comment
-  aopts.queue_depth = depth;
-  aopts.workers = depth;
-  auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
-  if (!aio_io.ok()) return {};
+  AsyncPageIo aio_io(&sync_io, depth);
 
   HeapPlacement placement(kFrames);
   StorePageIo io(store);
   FrameTable::Options opts;
   opts.frame_count = kFrames;
-  opts.async_io = aio_io->get();
+  opts.async_io = &aio_io;
   opts.async_queue_depth = depth;
   FrameTable table(opts, &placement, &io);
   if (!table.Init().ok()) return {};
@@ -135,7 +130,7 @@ ScanResult RunPush(AreaSegmentStore* store, uint32_t depth) {
   });
   fault::FaultRegistry::Instance().DisarmAll();
   r.pages_per_sec = kScanPages / secs;
-  const aio::AioStats stats = (*aio_io)->stats();
+  const aio::AioStats stats = aio_io.stats();
   r.overlap_ratio = (stats.io_busy_ns * 1e-9) / secs;
   r.read_runs = stats.read_runs;
   const Stats ts = table.stats();
@@ -208,17 +203,13 @@ int main() {
 
   // ---- phase 2: async bgwriter batches, one WAL gate per batch -------------
   GateCountingIo gate_io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  aopts.queue_depth = 16;
-  auto aio_io = MakeAsyncPageIo(aopts, &gate_io, nullptr);
-  if (!aio_io.ok()) return 1;
+  AsyncPageIo aio_io(&gate_io, 4);
   HeapPlacement placement(kFrames);
   FrameTable::Options opts;
   opts.frame_count = kFrames;
   opts.enable_bgwriter = true;
   opts.bgwriter_interval_ms = 1;
-  opts.async_io = aio_io->get();
+  opts.async_io = &aio_io;
   opts.async_queue_depth = 16;
   FrameTable table(opts, &placement, &gate_io);
   if (!table.Init().ok()) return 1;
@@ -288,8 +279,7 @@ int main() {
             "  \"bg_flushed\": %llu,\n"
             "  \"bg_batches\": %llu,\n"
             "  \"bg_wal_gates\": %llu,\n"
-            "  \"evict_sync_writebacks\": %llu,\n"
-            "  \"uring_available\": %d\n"
+            "  \"evict_sync_writebacks\": %llu\n"
             "}\n",
             kScanPages, kLatencyUs, pull.pages_per_sec, push_qd[0],
             push_qd[1], push_qd[2], push_qd[1] / pull.pages_per_sec,
@@ -305,8 +295,7 @@ int main() {
             static_cast<unsigned long long>(
                 bg.counter("cache.bgwriter.async_batch")),
             static_cast<unsigned long long>(gates),
-            static_cast<unsigned long long>(sync_wb),
-            aio::AsyncFileEngine::UringSupported() ? 1 : 0);
+            static_cast<unsigned long long>(sync_wb));
     fclose(f);
     printf("wrote %s\n", path.c_str());
   }

@@ -10,7 +10,9 @@
 #   3. the async bgwriter paid exactly one WAL durability gate per flush
 #      batch inside the audit window (bg_wal_gates == bg_batches),
 #   4. the churn phase evicted through bgwriter-cleaned frames only — no
-#      sync write-back on the demand path (evict_sync_writebacks == 0).
+#      sync write-back on the demand path (evict_sync_writebacks == 0),
+#   5. the worker pool coalesced staged reads: at queue depth 8 each device
+#      op carried at least 2 pages on average (batch_factor_qd8 >= 2).
 #
 # Usage: scripts/check_bench_scan.sh [build-dir]   (default: build)
 set -eu
@@ -40,17 +42,18 @@ BATCHES=$(field bg_batches)
 GATES=$(field bg_wal_gates)
 SYNC_WB=$(field evict_sync_writebacks)
 RUNS=$(field read_runs_qd8)
+BATCH=$(field batch_factor_qd8)
 
 if [ -z "$PULL" ] || [ -z "$PUSH8" ] || [ -z "$SPEEDUP" ] ||
    [ -z "$CHECKSUMS" ] || [ -z "$BATCHES" ] || [ -z "$GATES" ] ||
-   [ -z "$SYNC_WB" ]; then
+   [ -z "$SYNC_WB" ] || [ -z "$RUNS" ] || [ -z "$BATCH" ]; then
   echo "check_bench_scan: FAILED to parse $JSON" >&2
   exit 1
 fi
 
 echo ""
 echo "pull baseline: ${PULL} pages/s; push qd8: ${PUSH8} pages/s (${SPEEDUP}x," \
-     "${RUNS} device ops)"
+     "${RUNS} device ops, ${BATCH} pages per op)"
 echo "bgwriter: ${GATES} WAL gates for ${BATCHES} async batches," \
      "${SYNC_WB} sync evict write-backs"
 
@@ -75,9 +78,16 @@ awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 2.0) }' || {
   echo "path: eviction outran the async bgwriter" >&2
   exit 1
 }
+awk -v b="$BATCH" 'BEGIN { exit !(b >= 2.0) }' || {
+  echo "check_bench_scan: FAILED — push scan at queue depth 8 moved only" >&2
+  echo "${BATCH} pages per device op (< 2): the worker pool is not" >&2
+  echo "coalescing consecutive staged reads" >&2
+  exit 1
+}
 # Publish the gate artifact at the repo root so the latest gated run is
 # always inspectable without digging through build dirs.
 cp "$JSON" ./BENCH_scan.json
 
 echo "check_bench_scan: OK — push scan overlaps device latency with consumer"
-echo "compute and the bgwriter batches write-backs behind one WAL gate"
+echo "compute in coalesced device ops, and the bgwriter batches write-backs"
+echo "behind one WAL gate"

@@ -13,9 +13,11 @@
 #     reduced iterations — run them separately when touching that code;
 #   - the overload-protection slice alone is `ctest -L overload`; it also
 #     rides the tsan run via its `concurrency` label;
-#   - the async I/O pipeline slice alone is `ctest -L scan`; it rides both
-#     sanitizer presets, and `scripts/check_bench_scan.sh` gates the
-#     push-vs-pull throughput claim on BENCH_scan.json.
+#   - the async I/O pipeline slice alone is `ctest -L scan` (the one
+#     worker-pool AsyncPageIo backend, its fault matrix and the push scan);
+#     it rides both sanitizer presets, and `scripts/check_bench_scan.sh`
+#     gates the push-vs-pull throughput and read-coalescing claims on
+#     BENCH_scan.json.
 #
 # Usage: scripts/run_gates.sh
 set -eu

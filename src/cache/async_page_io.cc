@@ -1,14 +1,7 @@
 #include "cache/async_page_io.h"
 
-#include <atomic>
-#include <cstring>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <vector>
+#include <cstring>
 
 #include "os/fault_injection.h"
 #include "util/config.h"
@@ -24,448 +17,177 @@ uint64_t NowNs() {
           .count());
 }
 
-// ---------------------------------------------------------------------------
-// WorkerPoolPageIo: async emulation over a synchronous PageIo.
-
-class WorkerPoolPageIo final : public AsyncPageIo {
- public:
-  WorkerPoolPageIo(FrameTable::PageIo* sync_io, uint32_t workers) : sync_(sync_io) {
-    if (workers == 0) workers = 1;
-    threads_.reserve(workers);
-    for (uint32_t i = 0; i < workers; ++i) {
-      threads_.emplace_back(&WorkerPoolPageIo::WorkerMain, this);
-    }
-  }
-
-  ~WorkerPoolPageIo() override { Shutdown(); }
-
-  Status Submit(const Request* reqs, uint32_t n) override {
-    if (n == 0) return Status::OK();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopped_) return Status::Aborted("async page io stopped");
-    uint64_t now = inflight_.fetch_add(n, std::memory_order_acq_rel) + n;
-    uint64_t seen = max_inflight_.load(std::memory_order_relaxed);
-    while (now > seen && !max_inflight_.compare_exchange_weak(
-                             seen, now, std::memory_order_relaxed)) {
-    }
-    for (uint32_t i = 0; i < n; ++i) queue_.push_back(reqs[i]);
-    work_cv_.notify_all();
-    return Status::OK();
-  }
-
-  uint32_t Reap(Completion* out, uint32_t max, uint32_t timeout_ms) override {
-    return mailbox_.Reap(out, max, timeout_ms);
-  }
-
-  void Shutdown() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& t : threads_) t.join();
-    threads_.clear();
-  }
-
-  const char* backend() const override { return "pool"; }
-
-  aio::AioStats stats() const override {
-    aio::AioStats s;
-    s.reads = reads_.load(std::memory_order_relaxed);
-    s.writes = writes_.load(std::memory_order_relaxed);
-    s.errors = errors_.load(std::memory_order_relaxed);
-    s.short_fixups = short_fixups_.load(std::memory_order_relaxed);
-    s.reorders = mailbox_.reorders();
-    s.max_inflight = max_inflight_.load(std::memory_order_relaxed);
-    s.io_busy_ns = io_busy_ns_.load(std::memory_order_relaxed);
-    s.read_runs = read_runs_.load(std::memory_order_relaxed);
-    s.write_runs = write_runs_.load(std::memory_order_relaxed);
-    return s;
-  }
-
- private:
-  /// Longest read run one worker services as a single device op. Bounds the
-  /// scratch buffer (64 KiB) and keeps other workers fed at deep queues.
-  static constexpr uint32_t kMaxRunPages = 16;
-
-  void WorkerMain() {
-    std::vector<Request> run;
-    for (;;) {
-      run.clear();
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        work_cv_.wait(lk, [&] { return stopped_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stopped and drained
-        run.push_back(queue_.front());
-        queue_.pop_front();
-        // Batched transfers: queued requests of the same kind for
-        // consecutive keys ride one device op (FetchRun / WriteRun) —
-        // block-layer style request merging. Scan staging, prefetch, and
-        // bgwriter flush batches all submit in ascending key order, so the
-        // natural runs sit adjacent at the queue head; a gap, a kind
-        // switch, or a key whose page field would carry into the area bits
-        // ends the run.
-        while (run.size() < kMaxRunPages && !queue_.empty() &&
-               queue_.front().write == run.front().write &&
-               (run.back().key & 0xFFFFFFFFull) != 0xFFFFFFFFull &&
-               queue_.front().key == run.back().key + 1) {
-          run.push_back(queue_.front());
-          queue_.pop_front();
-        }
-      }
-      if (run.size() == 1) {
-        Execute(run[0]);
-      } else if (run.front().write) {
-        ExecuteWriteRun(run);
-      } else {
-        ExecuteReadRun(run);
-      }
-    }
-  }
-
-  void Execute(const Request& req) {
-    uint64_t t0 = NowNs();
-    (req.write ? writes_ : reads_).fetch_add(1, std::memory_order_relaxed);
-    Status st;
-    fault::FaultOutcome out;
-    if (fault::Armed()) {
-      out = fault::FaultRegistry::Instance().EvaluateIo(
-          req.write ? "aio.write" : "aio.read", "", kPageSize);
-      if (out.crash) fault::FaultRegistry::CrashNow();
-    }
-    Status err;
-    size_t first_cap = kPageSize;
-    if (aio::AioFaultFails(out, kPageSize, &err, &first_cap)) {
-      st = err;
-    } else {
-      st = req.write ? sync_->Write(req.key, req.buf)
-                     : sync_->Fetch(req.key, req.buf);
-      if (st.ok() && first_cap < kPageSize) {
-        // Injected short completion: the synchronous backend has no partial
-        // transfer to resume, so a read is re-issued whole — the loop-to-
-        // complete contract holds; the caller still sees one completion.
-        short_fixups_.fetch_add(1, std::memory_order_relaxed);
-        if (!req.write) st = sync_->Fetch(req.key, req.buf);
-      }
-    }
-    if (!st.ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-    (req.write ? write_runs_ : read_runs_)
-        .fetch_add(1, std::memory_order_relaxed);
-    io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    Completion c;
-    c.user_data = req.user_data;
-    c.status = st;
-    c.bytes = st.ok() ? kPageSize : 0;
-    bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-    mailbox_.Deliver(c, last);
-  }
-
-  /// Services a coalesced run of `n` reads for consecutive keys with one
-  /// FetchRun. Fault evaluation stays per request — a mid-run io_error fails
-  /// only its own request, a short injected count still completes at full
-  /// length — so the aio fault matrix observes the same semantics as
-  /// uncoalesced singles, and each request gets its own completion.
-  void ExecuteReadRun(const std::vector<Request>& run) {
-    const uint32_t n = static_cast<uint32_t>(run.size());
-    const uint64_t t0 = NowNs();
-    reads_.fetch_add(n, std::memory_order_relaxed);
-    std::vector<Status> st(n, Status::OK());
-    std::vector<bool> faulted(n, false);
-    if (fault::Armed()) {
-      for (uint32_t i = 0; i < n; ++i) {
-        fault::FaultOutcome out = fault::FaultRegistry::Instance().EvaluateIo(
-            "aio.read", "", kPageSize);
-        if (out.crash) fault::FaultRegistry::CrashNow();
-        Status err;
-        size_t first_cap = kPageSize;
-        if (aio::AioFaultFails(out, kPageSize, &err, &first_cap)) {
-          st[i] = err;
-          faulted[i] = true;
-        } else if (first_cap < kPageSize) {
-          // Injected short count: the run transfer below reads full length
-          // anyway (the loop-to-complete contract); record the fixup.
-          short_fixups_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    std::vector<char> scratch;
-    uint32_t i = 0;
-    while (i < n) {
-      if (faulted[i]) {
-        ++i;
-        continue;
-      }
-      uint32_t j = i + 1;
-      while (j < n && !faulted[j]) ++j;
-      const uint32_t len = j - i;
-      scratch.resize(static_cast<size_t>(len) * kPageSize);
-      const Status rs = sync_->FetchRun(run[i].key, len, scratch.data());
-      read_runs_.fetch_add(1, std::memory_order_relaxed);
-      if (rs.ok()) {
-        for (uint32_t k = 0; k < len; ++k) {
-          memcpy(run[i + k].buf,
-                 scratch.data() + static_cast<size_t>(k) * kPageSize,
-                 kPageSize);
-        }
-      } else {
-        // The run fetch fails as a unit; retry each page alone so one bad
-        // page cannot fail its neighbours' requests.
-        for (uint32_t k = 0; k < len; ++k) {
-          st[i + k] = sync_->Fetch(run[i + k].key, run[i + k].buf);
-          read_runs_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      i = j;
-    }
-    io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    for (uint32_t k = 0; k < n; ++k) {
-      if (!st[k].ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-      Completion c;
-      c.user_data = run[k].user_data;
-      c.status = st[k];
-      c.bytes = st[k].ok() ? kPageSize : 0;
-      const bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-      mailbox_.Deliver(c, last);
-    }
-  }
-
-  /// Services a coalesced run of `n` writes for consecutive keys with one
-  /// WriteRun. Mirrors ExecuteReadRun: faults evaluate per request (a
-  /// mid-run io_error drops only its own page out of the run), a failed run
-  /// transfer retries each page alone, and every request gets its own
-  /// completion. Note the synchronous single-write path drops the request
-  /// LSN too — EnsureWalDurable already gated the batch upstream.
-  void ExecuteWriteRun(const std::vector<Request>& run) {
-    const uint32_t n = static_cast<uint32_t>(run.size());
-    const uint64_t t0 = NowNs();
-    writes_.fetch_add(n, std::memory_order_relaxed);
-    std::vector<Status> st(n, Status::OK());
-    std::vector<bool> faulted(n, false);
-    if (fault::Armed()) {
-      for (uint32_t i = 0; i < n; ++i) {
-        fault::FaultOutcome out = fault::FaultRegistry::Instance().EvaluateIo(
-            "aio.write", "", kPageSize);
-        if (out.crash) fault::FaultRegistry::CrashNow();
-        Status err;
-        size_t first_cap = kPageSize;
-        if (aio::AioFaultFails(out, kPageSize, &err, &first_cap)) {
-          st[i] = err;
-          faulted[i] = true;
-        } else if (first_cap < kPageSize) {
-          // Injected short count: WriteRun below transfers full length
-          // anyway (loop-to-complete); record the fixup.
-          short_fixups_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    std::vector<char> scratch;
-    uint32_t i = 0;
-    while (i < n) {
-      if (faulted[i]) {
-        ++i;
-        continue;
-      }
-      uint32_t j = i + 1;
-      while (j < n && !faulted[j]) ++j;
-      const uint32_t len = j - i;
-      scratch.resize(static_cast<size_t>(len) * kPageSize);
-      for (uint32_t k = 0; k < len; ++k) {
-        memcpy(scratch.data() + static_cast<size_t>(k) * kPageSize,
-               run[i + k].buf, kPageSize);
-      }
-      const Status ws = sync_->WriteRun(run[i].key, len, scratch.data());
-      write_runs_.fetch_add(1, std::memory_order_relaxed);
-      if (!ws.ok()) {
-        // The run write fails as a unit; retry each page alone so one bad
-        // page cannot fail its neighbours' requests.
-        for (uint32_t k = 0; k < len; ++k) {
-          st[i + k] = sync_->Write(run[i + k].key, run[i + k].buf);
-          write_runs_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      i = j;
-    }
-    io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
-    for (uint32_t k = 0; k < n; ++k) {
-      if (!st[k].ok()) errors_.fetch_add(1, std::memory_order_relaxed);
-      Completion c;
-      c.user_data = run[k].user_data;
-      c.status = st[k];
-      c.bytes = st[k].ok() ? kPageSize : 0;
-      const bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-      mailbox_.Deliver(c, last);
-    }
-  }
-
-  FrameTable::PageIo* sync_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<Request> queue_;
-  bool stopped_ = false;
-  std::vector<std::thread> threads_;
-  aio::CompletionMailbox mailbox_;
-  std::atomic<uint64_t> inflight_{0};
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> short_fixups_{0};
-  std::atomic<uint64_t> max_inflight_{0};
-  std::atomic<uint64_t> io_busy_ns_{0};
-  std::atomic<uint64_t> read_runs_{0};
-  std::atomic<uint64_t> write_runs_{0};
-};
-
-// ---------------------------------------------------------------------------
-// FileEnginePageIo: AsyncFileEngine over a RawPageSource.
-
-class FileEnginePageIo final : public AsyncPageIo {
- public:
-  FileEnginePageIo(std::unique_ptr<aio::AsyncFileEngine> engine,
-                   aio::RawPageSource* raw, FrameTable::PageIo* sync_fallback)
-      : engine_(std::move(engine)), raw_(raw), sync_(sync_fallback) {}
-
-  ~FileEnginePageIo() override { Shutdown(); }
-
-  Status Submit(const Request* reqs, uint32_t n) override {
-    std::vector<aio::AioRequest> batch;
-    batch.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      const Request& r = reqs[i];
-      int fd = -1;
-      uint64_t off = 0;
-      if (!raw_->RawRun(r.key, 1, &fd, &off)) {
-        // Not raw-reachable (quarantined page, unknown area): complete via
-        // the synchronous path so the caller never needs a special case.
-        Status st = sync_ == nullptr
-                        ? Status::NotSupported("page not raw-reachable")
-                        : (r.write ? sync_->Write(r.key, r.buf)
-                                   : sync_->Fetch(r.key, r.buf));
-        PostImmediate(r.user_data, st);
-        continue;
-      }
-      uint64_t id;
-      {
-        std::lock_guard<std::mutex> lk(pending_mu_);
-        id = next_id_++;
-        pending_.emplace(id, r);
-      }
-      aio::AioRequest ar;
-      ar.op = r.write ? aio::Op::kWrite : aio::Op::kRead;
-      ar.fd = fd;
-      ar.offset = off;
-      ar.buf = r.buf;
-      ar.len = kPageSize;
-      ar.user_data = id;
-      batch.push_back(ar);
-    }
-    if (batch.empty()) return Status::OK();
-    Status st = engine_->Submit(batch.data(), static_cast<uint32_t>(batch.size()));
-    if (!st.ok()) {
-      // Engine refused the whole batch: fail those requests loudly so every
-      // accepted request still produces a completion.
-      std::lock_guard<std::mutex> lk(pending_mu_);
-      for (const auto& ar : batch) {
-        auto it = pending_.find(ar.user_data);
-        if (it == pending_.end()) continue;
-        PostImmediate(it->second.user_data, st);
-        pending_.erase(it);
-      }
-    }
-    return Status::OK();
-  }
-
-  uint32_t Reap(Completion* out, uint32_t max, uint32_t timeout_ms) override {
-    uint32_t n = 0;
-    {
-      std::lock_guard<std::mutex> lk(immediate_mu_);
-      while (n < max && !immediate_.empty()) {
-        out[n++] = immediate_.front();
-        immediate_.pop_front();
-      }
-    }
-    if (n >= max) return n;
-    std::vector<Completion> tmp(max - n);
-    uint32_t m = engine_->Reap(tmp.data(), max - n, n > 0 ? 0 : timeout_ms);
-    for (uint32_t i = 0; i < m; ++i) {
-      Request req;
-      {
-        std::lock_guard<std::mutex> lk(pending_mu_);
-        auto it = pending_.find(tmp[i].user_data);
-        if (it == pending_.end()) continue;
-        req = it->second;
-        pending_.erase(it);
-      }
-      Status st = tmp[i].status;
-      if (st.ok()) {
-        // Re-apply the storage integrity envelope around the raw transfer.
-        st = req.write ? raw_->FinishWrite(req.key, 1, req.buf, req.lsn)
-                       : raw_->FinishRead(req.key, 1, req.buf);
-      }
-      out[n].user_data = req.user_data;
-      out[n].status = st;
-      out[n].bytes = st.ok() ? kPageSize : 0;
-      ++n;
-    }
-    return n;
-  }
-
-  void Shutdown() override { engine_->Shutdown(); }
-
-  const char* backend() const override { return engine_->backend(); }
-  aio::AioStats stats() const override { return engine_->stats(); }
-
- private:
-  void PostImmediate(uint64_t user_data, Status st) {
-    Completion c;
-    c.user_data = user_data;
-    c.status = st;
-    c.bytes = st.ok() ? kPageSize : 0;
-    std::lock_guard<std::mutex> lk(immediate_mu_);
-    immediate_.push_back(c);
-  }
-
-  std::unique_ptr<aio::AsyncFileEngine> engine_;
-  aio::RawPageSource* raw_;
-  FrameTable::PageIo* sync_;
-  std::mutex pending_mu_;
-  std::unordered_map<uint64_t, Request> pending_;
-  uint64_t next_id_ = 1;
-  std::mutex immediate_mu_;
-  std::deque<Completion> immediate_;
-};
-
 }  // namespace
 
-Result<std::unique_ptr<AsyncPageIo>> MakeAsyncPageIo(
-    const AsyncPageIoOptions& options, FrameTable::PageIo* sync_io,
-    aio::RawPageSource* raw) {
-  if (options.backend == "off") {
-    return Status::InvalidArgument("async backend is off");
+AsyncPageIo::AsyncPageIo(FrameTable::PageIo* sync, uint32_t workers)
+    : sync_(sync) {
+  if (workers == 0) workers = 1;
+  threads_.reserve(workers);
+  for (uint32_t i = 0; i < workers; ++i) {
+    threads_.emplace_back(&AsyncPageIo::WorkerMain, this);
   }
-  if (options.backend != "auto" && options.backend != "uring" &&
-      options.backend != "pool") {
-    return Status::InvalidArgument("unknown async backend: " +
-                                   options.backend);
+}
+
+AsyncPageIo::~AsyncPageIo() { Shutdown(); }
+
+Status AsyncPageIo::Submit(const Request* reqs, uint32_t n) {
+  if (n == 0) return Status::OK();
+  std::lock_guard<std::mutex> lk(mu_);
+  if (stopped_) return Status::Aborted("async page io stopped");
+  uint64_t now = inflight_.fetch_add(n, std::memory_order_acq_rel) + n;
+  uint64_t seen = max_inflight_.load(std::memory_order_relaxed);
+  while (now > seen && !max_inflight_.compare_exchange_weak(
+                           seen, now, std::memory_order_relaxed)) {
   }
-  const bool want_uring =
-      options.backend != "pool" && raw != nullptr &&
-      (options.backend == "uring" || aio::AsyncFileEngine::UringSupported());
-  if (want_uring) {
-    aio::AsyncFileEngine::Options eo;
-    eo.backend = options.backend == "pool" ? "pool" : options.backend;
-    eo.queue_depth = options.queue_depth;
-    eo.workers = options.workers;
-    BESS_ASSIGN_OR_RETURN(auto engine, aio::AsyncFileEngine::Create(eo));
-    return std::unique_ptr<AsyncPageIo>(std::make_unique<FileEnginePageIo>(
-        std::move(engine), raw, sync_io));
+  for (uint32_t i = 0; i < n; ++i) queue_.push_back(reqs[i]);
+  work_cv_.notify_all();
+  return Status::OK();
+}
+
+uint32_t AsyncPageIo::Reap(Completion* out, uint32_t max,
+                           uint32_t timeout_ms) {
+  return mailbox_.Reap(out, max, timeout_ms);
+}
+
+void AsyncPageIo::Shutdown() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (stopped_) return;
+    stopped_ = true;
   }
-  if (sync_io == nullptr) {
-    return Status::InvalidArgument(
-        "worker-pool async backend needs a synchronous PageIo");
+  work_cv_.notify_all();
+  for (auto& t : threads_) t.join();
+  threads_.clear();
+}
+
+aio::AioStats AsyncPageIo::stats() const {
+  aio::AioStats s;
+  s.reads = reads_.load(std::memory_order_relaxed);
+  s.writes = writes_.load(std::memory_order_relaxed);
+  s.errors = errors_.load(std::memory_order_relaxed);
+  s.short_fixups = short_fixups_.load(std::memory_order_relaxed);
+  s.reorders = mailbox_.reorders();
+  s.max_inflight = max_inflight_.load(std::memory_order_relaxed);
+  s.io_busy_ns = io_busy_ns_.load(std::memory_order_relaxed);
+  s.read_runs = read_runs_.load(std::memory_order_relaxed);
+  s.write_runs = write_runs_.load(std::memory_order_relaxed);
+  return s;
+}
+
+void AsyncPageIo::WorkerMain() {
+  std::vector<Request> run;
+  for (;;) {
+    run.clear();
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      work_cv_.wait(lk, [&] { return stopped_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopped and drained
+      run.push_back(queue_.front());
+      queue_.pop_front();
+      // Batched transfers: queued requests of the same kind for
+      // consecutive keys ride one device op (FetchRun / WriteRun) —
+      // block-layer style request merging. Scan staging, prefetch, and
+      // bgwriter flush batches all submit in ascending key order, so the
+      // natural runs sit adjacent at the queue head; a gap, a kind
+      // switch, or a key whose page field would carry into the area bits
+      // ends the run.
+      while (run.size() < kMaxRunPages && !queue_.empty() &&
+             queue_.front().write == run.front().write &&
+             (run.back().key & 0xFFFFFFFFull) != 0xFFFFFFFFull &&
+             queue_.front().key == run.back().key + 1) {
+        run.push_back(queue_.front());
+        queue_.pop_front();
+      }
+    }
+    ExecuteRun(run);
   }
-  return std::unique_ptr<AsyncPageIo>(
-      std::make_unique<WorkerPoolPageIo>(sync_io, options.workers));
+}
+
+/// Services a run of same-kind requests for consecutive keys; a single
+/// request is a run of one. Fault evaluation stays per request — an
+/// injected error fails only its own request and the run is carved around
+/// it, an injected short count still completes at full length — and each
+/// request gets its own completion.
+void AsyncPageIo::ExecuteRun(const std::vector<Request>& run) {
+  const bool write = run.front().write;
+  const uint32_t n = static_cast<uint32_t>(run.size());
+  const uint64_t t0 = NowNs();
+  (write ? writes_ : reads_).fetch_add(n, std::memory_order_relaxed);
+  std::atomic<uint64_t>& runs = write ? write_runs_ : read_runs_;
+  std::vector<Status> st(n, Status::OK());
+  std::vector<bool> faulted(n, false);
+  if (fault::Armed()) {
+    for (uint32_t i = 0; i < n; ++i) {
+      fault::FaultOutcome out = fault::FaultRegistry::Instance().EvaluateIo(
+          write ? "aio.write" : "aio.read", "", kPageSize);
+      if (out.crash) fault::FaultRegistry::CrashNow();
+      size_t first_cap = kPageSize;
+      if (aio::AioFaultFails(out, kPageSize, &st[i], &first_cap)) {
+        faulted[i] = true;
+      } else if (first_cap < kPageSize) {
+        // Injected short count: the synchronous backend has no partial
+        // transfer to resume, and the transfer below moves whole pages
+        // anyway (the loop-to-complete contract); record the fixup.
+        short_fixups_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  }
+  std::vector<char> scratch;
+  uint32_t i = 0;
+  while (i < n) {
+    if (faulted[i]) {
+      ++i;
+      continue;
+    }
+    uint32_t j = i + 1;
+    while (j < n && !faulted[j]) ++j;
+    const Status rs = TransferRun(&run[i], j - i, &scratch);
+    runs.fetch_add(1, std::memory_order_relaxed);
+    if (j - i == 1) {
+      st[i] = rs;
+    } else if (!rs.ok()) {
+      // The run transfer fails as a unit; retry each page alone so one bad
+      // page cannot fail its neighbours' requests.
+      for (uint32_t k = i; k < j; ++k) {
+        st[k] = TransferRun(&run[k], 1, &scratch);
+        runs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    i = j;
+  }
+  io_busy_ns_.fetch_add(NowNs() - t0, std::memory_order_relaxed);
+  for (uint32_t k = 0; k < n; ++k) {
+    if (!st[k].ok()) errors_.fetch_add(1, std::memory_order_relaxed);
+    Completion c;
+    c.user_data = run[k].user_data;
+    c.status = st[k];
+    c.bytes = st[k].ok() ? kPageSize : 0;
+    const bool last = inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    mailbox_.Deliver(c, last);
+  }
+}
+
+Status AsyncPageIo::TransferRun(const Request* first, uint32_t len,
+                                std::vector<char>* scratch) {
+  if (len == 1) {
+    return first->write ? sync_->Write(first->key, first->buf)
+                        : sync_->Fetch(first->key, first->buf);
+  }
+  scratch->resize(static_cast<size_t>(len) * kPageSize);
+  char* bytes = scratch->data();
+  if (first->write) {
+    for (uint32_t k = 0; k < len; ++k) {
+      memcpy(bytes + static_cast<size_t>(k) * kPageSize, first[k].buf,
+             kPageSize);
+    }
+    return sync_->WriteRun(first->key, len, bytes);
+  }
+  BESS_RETURN_IF_ERROR(sync_->FetchRun(first->key, len, bytes));
+  for (uint32_t k = 0; k < len; ++k) {
+    memcpy(first[k].buf, bytes + static_cast<size_t>(k) * kPageSize,
+           kPageSize);
+  }
+  return Status::OK();
 }
 
 }  // namespace bess

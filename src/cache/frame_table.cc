@@ -806,17 +806,12 @@ Status FrameTable::ScanOrdered(uint32_t count,
 
 // ---- prefetch ---------------------------------------------------------------
 
-void FrameTable::NotePrefetchHint(uint64_t key, uint32_t count) {
-  std::lock_guard<std::mutex> guard(mu_);
-  FeedPrefetchLocked(key, count);
-}
-
 void FrameTable::FeedPrefetchLocked(uint64_t key, uint32_t count) {
   if (!opts_.enable_prefetch || io_ == nullptr || key == 0 || count == 0) {
     return;
   }
-  // A hint covering exactly what the demand stream already reported (the
-  // upstream sink echoing fetches this table itself served) adds nothing.
+  // A repeat of exactly the run already reported (the same page missing
+  // again) adds nothing.
   if (key + count == pf_next_ && pf_run_ != 0) return;
   if (key == pf_next_) {
     pf_run_ += count;
@@ -1144,7 +1139,6 @@ void FrameTable::AsyncBgFlushBatchLocked(std::unique_lock<std::mutex>& lk,
     r.write = true;
     r.key = key;
     r.buf = placement_->frame_data(f);
-    r.lsn = lsn;
     r.user_data = f;
     reqs.push_back(r);
     max_lsn = std::max(max_lsn, lsn);
@@ -1152,7 +1146,7 @@ void FrameTable::AsyncBgFlushBatchLocked(std::unique_lock<std::mutex>& lk,
   if (batch.empty()) return;
   // Key-ascending submission order: the single WAL gate below covers the
   // whole batch regardless of in-batch order, so sorting costs nothing —
-  // and it lets the pool backend merge consecutive-key pages into one
+  // and it lets the async worker pool merge consecutive-key pages into one
   // device write (AioStats::write_runs), the write-side mirror of the
   // scan path's read coalescing.
   std::sort(reqs.begin(), reqs.end(),
@@ -1173,10 +1167,9 @@ void FrameTable::AsyncBgFlushBatchLocked(std::unique_lock<std::mutex>& lk,
     // Covering LSNs re-read only now, with every frame latched by its
     // placement: a mutator may have rewritten bytes between the claim and
     // the latch, and the gate must cover whatever images the I/O reads.
-    for (auto& r : reqs) {
-      const uint32_t f = static_cast<uint32_t>(r.user_data);
-      r.lsn = meta_[f].page_lsn.load(std::memory_order_acquire);
-      max_lsn = std::max(max_lsn, r.lsn);
+    for (uint32_t f : batch) {
+      max_lsn = std::max(max_lsn,
+                         meta_[f].page_lsn.load(std::memory_order_acquire));
     }
   }
   // ONE durability gate covers the whole batch (WAL-before-data for its

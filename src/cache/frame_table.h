@@ -283,10 +283,6 @@ class FrameTable {
   /// demoted and got touched — re-enable it and tell the policy.
   Status NoteAccess(uint32_t f);
 
-  /// Sequential-access hint (a demand fetch of `count` pages at `key`
-  /// happened upstream); may schedule read-ahead.
-  void NotePrefetchHint(uint64_t key, uint32_t count);
-
   /// Per-page scan delivery. `page` points at frame bytes valid only for
   /// the duration of the call (the frame is pinned); the callback runs
   /// without the table mutex and must not call back into this table.

@@ -112,7 +112,6 @@ Status PrivateBufferPool::Init() {
   topts.policy = options_.policy;
   topts.enable_bgwriter = options_.enable_bgwriter;
   topts.bgwriter_interval_ms = options_.bgwriter_interval_ms;
-  topts.enable_prefetch = options_.enable_prefetch;
   table_.reset(new FrameTable(topts, &placement_, &store_io_, &scope_));
   // Fault routing must be live before the table's background services
   // start touching protection state.

@@ -43,7 +43,6 @@ class PrivateBufferPool : public FaultRangeOwner {
     std::string policy = "clock";
     bool enable_bgwriter = false;
     uint32_t bgwriter_interval_ms = 5;
-    bool enable_prefetch = false;
   };
 
   /// Creates a pool of `frame_count` frames backed by the file at `path`

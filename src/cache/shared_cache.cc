@@ -285,7 +285,6 @@ Status SharedPageSpace::Init() {
   topts.directory = &smt_dir_;
   topts.enable_bgwriter = options_.enable_bgwriter;
   topts.bgwriter_interval_ms = options_.bgwriter_interval_ms;
-  topts.enable_prefetch = options_.enable_prefetch;
   table_.reset(new FrameTable(topts, &placement_, &store_io_, &scope_));
   BESS_RETURN_IF_ERROR(table_->Init());
 

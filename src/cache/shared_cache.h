@@ -141,11 +141,6 @@ class SharedPageSpace : public FaultRangeOwner {
   struct Options {
     bool enable_bgwriter = false;
     uint32_t bgwriter_interval_ms = 5;
-    /// Unsupported in shared mode — Open fails if set. The prefetch
-    /// install step cannot take the SMT latch from the background thread
-    /// (lock-order inversion with the miss path), so cross-process
-    /// single-copy residency cannot be guaranteed for speculative loads.
-    bool enable_prefetch = false;
   };
 
   /// `store` supplies page fetch/write-back (a LocalStore on the node

@@ -158,11 +158,7 @@ Status BTreeIndex::InitRuntime() {
   io_ = std::make_unique<PageIoImpl>(area_, opts_.ensure_wal_durable);
   placement_ = std::make_unique<LatchedPlacement>(opts_.cache_frames);
   if (opts_.use_async) {
-    AsyncPageIoOptions ao;
-    ao.backend = "pool";
-    ao.queue_depth = opts_.async_queue_depth;
-    ao.workers = opts_.async_workers;
-    BESS_ASSIGN_OR_RETURN(aio_, MakeAsyncPageIo(ao, io_.get()));
+    aio_ = std::make_unique<AsyncPageIo>(io_.get(), opts_.async_workers);
   }
   FrameTable::Options fo;
   fo.frame_count = opts_.cache_frames;

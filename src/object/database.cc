@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <thread>
 
-#include "cache/cached_store.h"
 #include "hooks/hooks.h"
 #include "index/index.h"
 #include "obs/trace.h"
@@ -165,29 +164,8 @@ Result<std::unique_ptr<Database>> Database::Open(const Options& options) {
   auto db = std::unique_ptr<Database>(new Database(options));
   db->observer_ = std::make_unique<Observer>(db.get());
   db->store_ = std::make_unique<LocalStore>(db.get());
-  SegmentStore* mapper_store = db->store_.get();
-  SegmentMapper::Options mapper_opts = options.mapper;
-  if (options.page_cache_frames > 0) {
-    CachedSegmentStore::Options copts;
-    copts.frame_count = options.page_cache_frames;
-    // A frame cleaned by write-back leaves CollectDirty's view before any
-    // checkpoint fsync covers the write, so park it in the dirty-page
-    // table (insert-after-write, like ForcePages) until a checkpoint's
-    // area sync verifiably retires it. recLSN 0 = unknown: bound it by the
-    // oldest retained LSN, conservative but never lossy.
-    copts.on_cleaned = [raw = db.get()](uint64_t key, uint64_t rec_lsn) {
-      if (raw->wal_ == nullptr) return;
-      raw->TouchDpt(key,
-                    rec_lsn != 0 ? rec_lsn : raw->wal_->oldest_lsn());
-    };
-    db->page_cache_ =
-        std::make_unique<CachedSegmentStore>(db->store_.get(), copts);
-    BESS_RETURN_IF_ERROR(db->page_cache_->Init());
-    mapper_store = db->page_cache_.get();
-    mapper_opts.prefetch_sink = db->page_cache_.get();
-  }
-  db->mapper_ = std::make_unique<SegmentMapper>(mapper_store, &db->types_,
-                                                mapper_opts);
+  db->mapper_ = std::make_unique<SegmentMapper>(db->store_.get(), &db->types_,
+                                                options.mapper);
   db->mapper_->set_observer(db->observer_.get());
 
   if (options.create) {
@@ -770,10 +748,6 @@ Status Database::ForcePages(const std::vector<PageImage>& pages, Lsn lsn,
         TouchDpt(PageAddr{img.db, img.area, img.page}.Pack(), rec_lsn);
       }
     }
-    if (page_cache_ != nullptr) {
-      // Forced pages bypass the store seam; keep the cached copies fresh.
-      page_cache_->Refresh(img.db, img.area, img.page, img.bytes.data());
-    }
     if (std::find(touched.begin(), touched.end(), a) == touched.end()) {
       touched.push_back(a);
     }
@@ -1137,9 +1111,9 @@ Result<std::shared_ptr<BTreeIndex>> Database::IndexRuntime(uint16_t area_id) {
   BTreeIndex::Options iopts;
   iopts.db = options_.db_id;
   if (wal_ != nullptr) {
-    // Same write-back coupling as the page cache: a cleaned frame parks in
-    // the DPT until a checkpoint sync verifiably covers the write, and the
-    // WAL-before-data gate holds the write back until its LSN is durable.
+    // Write-back coupling: a cleaned frame parks in the DPT until a
+    // checkpoint sync verifiably covers the write, and the WAL-before-data
+    // gate holds the write back until its LSN is durable.
     iopts.on_cleaned = [this](uint64_t key, uint64_t rec_lsn) {
       TouchDpt(key, rec_lsn != 0 ? rec_lsn : wal_->oldest_lsn());
     };
@@ -1794,15 +1768,7 @@ Status Database::WriteRawPages(uint16_t area, PageId first, uint32_t count,
                                const void* buf) {
   StorageArea* a = AreaOrNull(area);
   if (a == nullptr) return Status::NotFound("no storage area");
-  BESS_RETURN_IF_ERROR(a->WritePages(first, count, buf));
-  if (page_cache_ != nullptr) {
-    const char* in = static_cast<const char*>(buf);
-    for (uint32_t i = 0; i < count; ++i) {
-      page_cache_->Refresh(options_.db_id, area, first + i,
-                           in + static_cast<size_t>(i) * kPageSize);
-    }
-  }
-  return Status::OK();
+  return a->WritePages(first, count, buf);
 }
 
 Status Database::CommitPageSet(const std::vector<PageImage>& pages) {
@@ -2059,18 +2025,6 @@ Status Database::Checkpoint() {
         if (!inserted && bound < it->second) it->second = bound;
       }
     }
-    if (page_cache_ != nullptr) {
-      // Frame-table dirt (pages modified through the cache seam, not yet
-      // written back). A recLSN of 0 is unknown: fold it in as "from the
-      // start of the retained log" — conservative, never lossy.
-      std::vector<std::pair<uint64_t, uint64_t>> frames;
-      page_cache_->table()->CollectDirty(&frames);
-      for (const auto& [key, rec_lsn] : frames) {
-        const Lsn bound = rec_lsn != 0 ? rec_lsn : wal_->oldest_lsn();
-        auto [it, inserted] = dpt_.try_emplace(key, bound);
-        if (!inserted && bound < it->second) it->second = bound;
-      }
-    }
     for (const auto& [key, rec_lsn] : dpt_) {
       cp.dirty_pages.push_back({PageAddr::Unpack(key), rec_lsn});
       if (rec_lsn != kNullLsn && rec_lsn < cp.redo_floor) {
@@ -2201,10 +2155,6 @@ Result<ScrubReport> Database::Scrub() {
   for (StorageArea* a : areas) {
     Status s = a->Scrub(&report);
     if (!s.ok() && !s.IsCorruption()) return s;
-  }
-  // Repair may have rewritten pages underneath the cache.
-  if (page_cache_ != nullptr && report.repaired > 0) {
-    page_cache_->InvalidateAll();
   }
   return report;
 }

@@ -35,7 +35,6 @@
 
 namespace bess {
 
-class CachedSegmentStore;
 class BTreeIndex;
 
 /// A transaction handle. Obtain with Database::Begin (one active transaction
@@ -104,11 +103,6 @@ class Database {
     bool use_wal = true;
     int lock_timeout_ms = kLockTimeoutMillis;
     SegmentMapper::Options mapper;
-    /// Frames for an optional page cache between the mapper and the storage
-    /// areas (cache/cached_store.h), with sequential prefetch. 0 = off —
-    /// the right default for server-linked apps, where the OS file cache
-    /// already covers re-fetches; set it when the store path is expensive.
-    uint32_t page_cache_frames = 0;
     // Geometry of newly created object segments.
     uint32_t slot_capacity = 120;
     uint16_t outbound_capacity = 64;
@@ -418,7 +412,6 @@ class Database {
   LockManager locks_;
   std::unique_ptr<LogManager> wal_;
   std::unique_ptr<LocalStore> store_;
-  std::unique_ptr<CachedSegmentStore> page_cache_;  // optional, between the two
   std::unique_ptr<Observer> observer_;
   std::unique_ptr<SegmentMapper> mapper_;
 

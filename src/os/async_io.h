@@ -1,33 +1,19 @@
-// Batched asynchronous file I/O: the engine room behind the push-based page
-// pipeline (DESIGN.md §13).
+// Shared pieces of the batched async page pipeline (DESIGN.md §13): the
+// completion record, the stats block, the "aio.*" fault classification and
+// the completion mailbox that cache/async_page_io.h's worker pool delivers
+// through.
 //
-// An AsyncFileEngine accepts a vector of read/write requests against raw
-// file descriptors and completes them out of band. Two implementations are
-// selected at runtime:
-//
-//   - UringFileEngine: raw io_uring syscalls (io_uring_setup / io_uring_enter
-//     — no liburing dependency). One SQ writer at a time under a mutex; a
-//     dedicated reaper thread blocks in IORING_ENTER_GETEVENTS and drains the
-//     CQ. Short CQEs (a read or write that moved fewer bytes than asked) are
-//     fixed up synchronously with pread/pwrite of the remainder, so callers
-//     always see full-length completions or an error — never a silent prefix.
-//   - ThreadPoolFileEngine: a worker pool issuing the same pread/pwrite
-//     loops. This is the universal fallback (and the deterministic backend
-//     for sanitizer runs); semantics are identical by construction, which is
-//     what the parity tests in async_io_test.cc pin down.
-//
-// Both engines are driven through the fault-injection layer via three
-// points, applied at completion time so the schedules see the same operation
-// order regardless of backend:
+// The pool is driven through the fault-injection layer via three points,
+// applied per request at service time:
 //
 //   "aio.read" / "aio.write"  EvaluateIo per request. kFail => the request
 //       completes with that error. kShortWrite/kTornPage (bytes_allowed < n)
-//       => the engine behaves as if the kernel returned a short count: it
+//       => the backend behaves as if the device returned a short count: it
 //       loops to complete (counted in stats().short_fixups) and the caller
 //       sees a full-length success. kNoSpace fails the request outright.
 //   "aio.reorder"  plain Check per completion. A fired schedule defers that
 //       completion until after the next one is delivered (or until the queue
-//       drains), simulating out-of-order CQEs deterministically.
+//       drains), simulating out-of-order completions deterministically.
 //
 // Completion delivery is pull-based: callers Reap() into a small array.
 // Every accepted request produces exactly one completion, including after
@@ -40,28 +26,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "os/fault_injection.h"
 #include "util/status.h"
 
 namespace bess {
 namespace aio {
-
-enum class Op : uint8_t { kRead, kWrite };
-
-struct AioRequest {
-  Op op = Op::kRead;
-  int fd = -1;
-  uint64_t offset = 0;
-  void* buf = nullptr;  ///< caller-owned; must stay valid until completion
-  size_t len = 0;
-  uint64_t user_data = 0;  ///< returned verbatim in the completion
-};
 
 struct AioCompletion {
   uint64_t user_data = 0;
@@ -71,7 +42,7 @@ struct AioCompletion {
 
 /// Classifies an armed "aio.read"/"aio.write" EvaluateIo outcome for a
 /// request of `len` bytes. Returns true when the request must fail outright
-/// with *error. Otherwise *first_cap is the byte count the (emulated) kernel
+/// with *error. Otherwise *first_cap is the byte count the emulated device
 /// moves first — < len means an injected short completion the backend must
 /// loop whole (kShortWrite/kTornPage schedules; kNoSpace always fails).
 bool AioFaultFails(const fault::FaultOutcome& out, size_t len, Status* error,
@@ -81,26 +52,23 @@ struct AioStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
   uint64_t errors = 0;
-  uint64_t short_fixups = 0;  ///< short kernel/injected counts looped whole
+  uint64_t short_fixups = 0;  ///< injected short counts looped whole
   uint64_t reorders = 0;      ///< completions deferred by "aio.reorder"
   uint64_t max_inflight = 0;
-  uint64_t io_busy_ns = 0;  ///< wall time spent inside syscalls (pool) or
-                            ///< with a non-empty ring (uring) — the overlap
-                            ///< numerator for bench_scan
+  uint64_t io_busy_ns = 0;  ///< wall time workers spend in transfers — the
+                            ///< overlap numerator for bench_scan
   uint64_t read_runs = 0;   ///< device read ops after request coalescing
-                            ///< (pool backend merges queued reads for
-                            ///< consecutive keys into one FetchRun; 0 when
-                            ///< the backend does not coalesce)
+                            ///< (queued reads for consecutive keys ride one
+                            ///< FetchRun)
   uint64_t write_runs = 0;  ///< device write ops after request coalescing
-                            ///< (pool backend merges queued writes for
-                            ///< consecutive keys — bgwriter batches sort by
-                            ///< key to line these up; 0 = no coalescing)
+                            ///< (queued writes for consecutive keys ride one
+                            ///< WriteRun — bgwriter batches sort by key to
+                            ///< line these up)
 };
 
-/// Completion mailbox shared by both engines. Applies the "aio.reorder"
-/// schedule on delivery; Reap flushes deferred completions on timeout or
-/// when the engine reports the queue drained, so a reordered completion can
-/// be late but never lost.
+/// Completion mailbox. Applies the "aio.reorder" schedule on delivery; Reap
+/// flushes deferred completions on timeout or when the backend reports the
+/// queue drained, so a reordered completion can be late but never lost.
 class CompletionMailbox {
  public:
   void Deliver(AioCompletion c, bool last_inflight);
@@ -115,68 +83,6 @@ class CompletionMailbox {
   std::deque<AioCompletion> ready_;
   std::deque<AioCompletion> deferred_;
   std::atomic<uint64_t> reorders_{0};
-};
-
-class AsyncFileEngine {
- public:
-  struct Options {
-    /// "auto" picks uring when the kernel supports it, else pool.
-    std::string backend = "auto";
-    uint32_t queue_depth = 16;  ///< max requests in flight
-    uint32_t workers = 4;       ///< pool backend only
-  };
-
-  virtual ~AsyncFileEngine() = default;
-
-  /// Queues `n` requests. All-or-nothing: on a non-OK return nothing was
-  /// queued and no completions will arrive for this call. May block briefly
-  /// when the queue is at depth.
-  virtual Status Submit(const AioRequest* reqs, uint32_t n) = 0;
-
-  /// Pops up to `max` completions, waiting at most `timeout_ms` for the
-  /// first (0 = poll). Returns the number written to `out`.
-  virtual uint32_t Reap(AioCompletion* out, uint32_t max,
-                        uint32_t timeout_ms) = 0;
-
-  /// Stops accepting work and joins engine threads. Completions already
-  /// produced remain reapable. Idempotent; the destructor calls it.
-  virtual void Shutdown() = 0;
-
-  virtual const char* backend() const = 0;
-  virtual AioStats stats() const = 0;
-
-  /// True when this kernel accepts io_uring_setup (probed once per process).
-  static bool UringSupported();
-
-  /// Builds the requested backend; "auto"/"uring" fall back to the pool
-  /// when io_uring is unavailable, so this only fails on bad arguments.
-  static Result<std::unique_ptr<AsyncFileEngine>> Create(
-      const Options& options);
-};
-
-/// Resolves page-cache keys to raw (fd, offset) runs and applies the storage
-/// layer's integrity envelope around raw transfers. Implemented by
-/// AreaSegmentStore over StorageArea files; consumed by FileEnginePageIo so
-/// the uring path keeps CRC/LSN trailer verification and quarantine behavior
-/// identical to the synchronous ReadPages/WritePages path.
-class RawPageSource {
- public:
-  virtual ~RawPageSource() = default;
-
-  /// Maps `count` pages starting at `key` to one contiguous byte range.
-  /// Returns false when the run is not raw-reachable (unknown area, crosses
-  /// an extent boundary, quarantined page) — the caller must fall back to
-  /// the synchronous path.
-  virtual bool RawRun(uint64_t key, uint32_t count, int* fd,
-                      uint64_t* offset) = 0;
-  /// Verifies trailers after a raw read landed in `buf` (reread/repair/
-  /// quarantine exactly like the synchronous read path).
-  virtual Status FinishRead(uint64_t key, uint32_t count, void* buf) = 0;
-  /// Stamps the out-of-band CRC/LSN trailers after a raw write of `buf`
-  /// completed (trailers live in extent meta pages and are flushed by Sync,
-  /// so post-completion stamping matches the synchronous write path).
-  virtual Status FinishWrite(uint64_t key, uint32_t count, const void* buf,
-                             uint64_t lsn) = 0;
 };
 
 }  // namespace aio

@@ -71,27 +71,4 @@ Status AreaSegmentStore::WritePages(uint16_t db, uint16_t area, PageId first,
   return Status::OK();
 }
 
-bool AreaSegmentStore::RawRun(uint64_t key, uint32_t count, int* fd,
-                              uint64_t* offset) {
-  const PageAddr addr = PageAddr::Unpack(key);
-  StorageArea* a = Find(addr.db, addr.area);
-  if (a == nullptr) return false;
-  return a->RawRun(addr.page, count, fd, offset);
-}
-
-Status AreaSegmentStore::FinishRead(uint64_t key, uint32_t count, void* buf) {
-  const PageAddr addr = PageAddr::Unpack(key);
-  StorageArea* a = Find(addr.db, addr.area);
-  if (a == nullptr) return Status::NotFound("no storage area for raw read");
-  return a->FinishRawRead(addr.page, count, buf);
-}
-
-Status AreaSegmentStore::FinishWrite(uint64_t key, uint32_t count,
-                                     const void* buf, uint64_t lsn) {
-  const PageAddr addr = PageAddr::Unpack(key);
-  StorageArea* a = Find(addr.db, addr.area);
-  if (a == nullptr) return Status::NotFound("no storage area for raw write");
-  return a->FinishRawWrite(addr.page, count, buf, lsn);
-}
-
 }  // namespace bess

@@ -1,31 +1,26 @@
 // AreaSegmentStore: a multifile SegmentStore directly over storage areas.
 //
 // The paper's server-linked configuration reads pages straight from the
-// storage areas; this store is that seam expressed as a SegmentStore, so the
-// page cache (CachedSegmentStore) and the scan bench can run over real area
-// files. It also implements aio::RawPageSource, resolving page-cache keys to
-// raw (fd, offset) runs so the io_uring backend can transfer pages with the
-// kernel while the storage layer's CRC/LSN trailer envelope is re-applied at
-// completion (FinishRead / FinishWrite).
+// storage areas; this store is that seam expressed as a SegmentStore, so a
+// frame table (through StorePageIo and the async worker pool) and the scan
+// bench can run over real area files with the storage layer's CRC/LSN
+// trailer envelope applied by ReadPages/WritePages.
 //
 // Runs may span extents and areas at this interface; they are split into
 // per-extent chunks before hitting StorageArea (whose runs cannot cross an
-// extent boundary). Raw runs are stricter: RawRun only answers a run that is
-// contiguous on disk, forcing the caller to the synchronous fallback at
-// extent seams — which is exactly how the push scan exercises both paths.
+// extent boundary).
 #ifndef BESS_STORAGE_AREA_STORE_H_
 #define BESS_STORAGE_AREA_STORE_H_
 
 #include <cstdint>
 #include <unordered_map>
 
-#include "os/async_io.h"
 #include "storage/storage_area.h"
 #include "vm/segment_store.h"
 
 namespace bess {
 
-class AreaSegmentStore : public SegmentStore, public aio::RawPageSource {
+class AreaSegmentStore : public SegmentStore {
  public:
   AreaSegmentStore() = default;
 
@@ -42,13 +37,6 @@ class AreaSegmentStore : public SegmentStore, public aio::RawPageSource {
                     uint32_t page_count, void* buf) override;
   Status WritePages(uint16_t db, uint16_t area, PageId first,
                     uint32_t page_count, const void* buf) override;
-
-  // aio::RawPageSource
-  bool RawRun(uint64_t key, uint32_t count, int* fd,
-              uint64_t* offset) override;
-  Status FinishRead(uint64_t key, uint32_t count, void* buf) override;
-  Status FinishWrite(uint64_t key, uint32_t count, const void* buf,
-                     uint64_t lsn) override;
 
  private:
   StorageArea* Find(uint16_t db, uint16_t area_id) const;

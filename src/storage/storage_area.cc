@@ -360,49 +360,6 @@ Status StorageArea::WritePages(PageId first_page, uint32_t page_count,
   return Status::OK();
 }
 
-bool StorageArea::RawRun(PageId first_page, uint32_t page_count, int* fd,
-                         uint64_t* offset) {
-  if (page_count == 0) return false;
-  const uint32_t first_extent = first_page / kPagesPerExtent;
-  const uint32_t last_extent = (first_page + page_count - 1) / kPagesPerExtent;
-  if (first_extent != last_extent) return false;
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (first_extent >= extents_.size()) return false;
-  }
-  for (uint32_t i = 0; i < page_count; ++i) {
-    if (integrity_.IsQuarantined(first_page + i)) {
-      BESS_COUNT("page.quarantine.hit");
-      return false;
-    }
-  }
-  *fd = file_.fd();
-  *offset = PhysicalOffset(first_page);
-  return true;
-}
-
-Status StorageArea::FinishRawRead(PageId first_page, uint32_t page_count,
-                                  void* buf) {
-  for (uint32_t i = 0; i < page_count; ++i) {
-    char* page_buf =
-        static_cast<char*>(buf) + static_cast<size_t>(i) * kPageSize;
-    BESS_RETURN_IF_ERROR(
-        VerifyOrRecoverPage(first_page + i, page_buf, nullptr));
-  }
-  return Status::OK();
-}
-
-Status StorageArea::FinishRawWrite(PageId first_page, uint32_t page_count,
-                                   const void* buf, uint64_t lsn) {
-  for (uint32_t i = 0; i < page_count; ++i) {
-    const char* bytes =
-        static_cast<const char*>(buf) + static_cast<size_t>(i) * kPageSize;
-    integrity_.Stamp(first_page + i, bytes, lsn);
-    integrity_.Unquarantine(first_page + i);
-  }
-  return Status::OK();
-}
-
 Status StorageArea::FlushDirtyTrailers() {
   // Trailer regions ride in the extent meta page but are flushed lazily:
   // once per Sync instead of once per page write. Written before the

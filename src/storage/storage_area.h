@@ -113,23 +113,6 @@ class StorageArea {
 
   Status Sync();
 
-  /// Raw async-I/O hooks (os/async_io.h RawPageSource): resolve `page_count`
-  /// logical pages starting at `first_page` to one contiguous (fd, offset)
-  /// byte range a kernel transfer may use directly. Returns false when the
-  /// run is not raw-reachable — beyond the area end, crossing an extent
-  /// boundary, or touching a quarantined page.
-  bool RawRun(PageId first_page, uint32_t page_count, int* fd,
-              uint64_t* offset);
-  /// Applies the read-side integrity envelope after a raw transfer landed in
-  /// `buf`: the same verify → reread → repair → quarantine ladder ReadPages
-  /// runs, so the uring path can never leak an unverified page.
-  Status FinishRawRead(PageId first_page, uint32_t page_count, void* buf);
-  /// Applies the write-side envelope after a raw transfer of `buf` was
-  /// completed by the kernel: stamps the out-of-band CRC/LSN trailers and
-  /// lifts quarantine, exactly like the tail of WritePages.
-  Status FinishRawWrite(PageId first_page, uint32_t page_count,
-                        const void* buf, uint64_t lsn);
-
   /// Installs the WAL-backed media-repair callback (see RepairHandler).
   void set_repair_handler(RepairHandler handler);
 

@@ -139,14 +139,6 @@ Status SegmentMapper::FaultSlottedLocked(MappedSegment* seg) {
   }
   BESS_RETURN_IF_ERROR(SetupAfterSlottedFetchLocked(seg));
 
-  // Wave 2 strongly predicts wave 3: hint the data range to the prefetcher
-  // so it can stage those pages before the first object access faults.
-  if (opts_.prefetch_sink != nullptr && view.header()->data_page_count > 0) {
-    opts_.prefetch_sink->NoteFetch(seg->id.db, view.header()->data_area,
-                                   view.header()->data_first_page,
-                                   view.header()->data_page_count);
-  }
-
   if (opts_.protect_slotted) {
     BESS_RETURN_IF_ERROR(
         vmem::Protect(seg->slotted_base, bytes, vmem::kRead));
@@ -225,10 +217,6 @@ Status SegmentMapper::FaultDataLocked(MappedSegment* seg) {
                                             h->data_page_count,
                                             seg->data_base));
     BESS_COUNT_N_IN(scope_, "vm.fetch.bytes", bytes);
-    if (opts_.prefetch_sink != nullptr) {
-      opts_.prefetch_sink->NoteFetch(seg->id.db, h->data_area,
-                                     h->data_first_page, h->data_page_count);
-    }
   }
   seg->data_mapped = true;
   seg->data_page_state.assign(h->data_page_count, kMappedRead);
@@ -300,10 +288,6 @@ Status SegmentMapper::FaultLargeLocked(MappedSegment* seg, LargeRange* lr) {
                                             lr->first_page, lr->page_count,
                                             lr->base));
     BESS_COUNT_N_IN(scope_, "vm.fetch.bytes", bytes);
-    if (opts_.prefetch_sink != nullptr) {
-      opts_.prefetch_sink->NoteFetch(seg->id.db, lr->area, lr->first_page,
-                                     lr->page_count);
-    }
   }
   lr->mapped = true;
   lr->page_state.assign(lr->page_count, kMappedRead);

@@ -84,9 +84,6 @@ class SegmentMapper : public FaultRangeOwner {
     /// Data-segment reservations get this growth headroom factor so resizes
     /// stay in place.
     uint32_t data_headroom = 4;
-    /// Optional fetch observer: a caching store layer registers here to see
-    /// which page runs fault in, feeding its sequential-run prefetcher.
-    PrefetchSink* prefetch_sink = nullptr;
   };
 
   SegmentMapper(SegmentStore* store, TypeTable* types, Options opts);

@@ -21,17 +21,6 @@ namespace bess {
 /// space for a slotted segment before its true size is known.
 inline constexpr uint32_t kMaxSlottedPages = 16;
 
-/// Observes successful page fetches so a cache layer can detect sequential
-/// access runs and issue read-ahead (cache/frame_table.h prefetch). The
-/// mapper fires this after each store fetch; implementations must tolerate
-/// being called from fault-handling context (no re-entry into the mapper).
-class PrefetchSink {
- public:
-  virtual ~PrefetchSink() = default;
-  virtual void NoteFetch(uint16_t db, uint16_t area, PageId first,
-                         uint32_t page_count) = 0;
-};
-
 class SegmentStore {
  public:
   virtual ~SegmentStore() = default;

@@ -1,18 +1,17 @@
-// Tests for the batched async I/O pipeline (os/async_io.h,
-// cache/async_page_io.h, FrameTable::ScanRange): backend parity between the
-// io_uring engine and the worker-pool fallback, the fault matrix (io_error
-// mid-batch, short completions, completion reordering), and the push-based
-// scan path over both the in-memory store and real storage-area files.
+// Tests for the batched async page pipeline (os/async_io.h,
+// cache/async_page_io.h, FrameTable::ScanRange): the worker-pool
+// AsyncPageIo's request coalescing and fault matrix (io_error inside a
+// coalesced run, short completions, completion reordering), and the
+// push-based scan path over both the in-memory store and real storage-area
+// files.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "cache/async_page_io.h"
-#include "cache/cached_store.h"
 #include "cache/frame_table.h"
 #include "os/async_io.h"
 #include "os/fault_injection.h"
@@ -42,14 +41,13 @@ std::string PatternPage(uint32_t p) {
   return bytes;
 }
 
-/// Reaps until `want` completions arrive (engines may deliver in dribbles).
-template <typename Engine>
-std::vector<aio::AioCompletion> ReapAll(Engine* eng, uint32_t want) {
+/// Reaps until `want` completions arrive (workers may deliver in dribbles).
+std::vector<aio::AioCompletion> ReapAll(AsyncPageIo* io, uint32_t want) {
   std::vector<aio::AioCompletion> got;
   aio::AioCompletion buf[64];
   int idle = 0;
   while (got.size() < want && idle < 100) {
-    uint32_t n = eng->Reap(buf, 64, 50);
+    uint32_t n = io->Reap(buf, 64, 50);
     if (n == 0) {
       ++idle;
       continue;
@@ -60,225 +58,6 @@ std::vector<aio::AioCompletion> ReapAll(Engine* eng, uint32_t want) {
   return got;
 }
 
-void RunEngineReadWriteBatch(const std::string& backend) {
-  const std::string path = TmpPath("aio_rw_" + backend);
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
-  const uint32_t kPages = 16;
-  ASSERT_TRUE(file->Truncate(kPages * kPageSize).ok());
-
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = backend;
-  eo.queue_depth = 8;
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
-  if (backend == "uring") {
-    ASSERT_STREQ((*eng)->backend(), "uring") << "kernel lost io_uring?";
-  }
-
-  // One batched write of every page.
-  std::vector<std::string> images;
-  std::vector<aio::AioRequest> reqs;
-  for (uint32_t p = 0; p < kPages; ++p) images.push_back(PatternPage(p));
-  for (uint32_t p = 0; p < kPages; ++p) {
-    aio::AioRequest r;
-    r.op = aio::Op::kWrite;
-    r.fd = file->fd();
-    r.offset = static_cast<uint64_t>(p) * kPageSize;
-    r.buf = images[p].data();
-    r.len = kPageSize;
-    r.user_data = p;
-    reqs.push_back(r);
-  }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto wr = ReapAll(eng->get(), kPages);
-  ASSERT_EQ(wr.size(), kPages);
-  for (const auto& c : wr) {
-    EXPECT_TRUE(c.status.ok()) << c.status.message();
-    EXPECT_EQ(c.bytes, kPageSize);
-  }
-
-  // One batched read back; every page must match, every token exactly once.
-  std::vector<std::string> out(kPages, std::string(kPageSize, 'x'));
-  for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].op = aio::Op::kRead;
-    reqs[p].buf = out[p].data();
-  }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto rd = ReapAll(eng->get(), kPages);
-  ASSERT_EQ(rd.size(), kPages);
-  std::set<uint64_t> seen;
-  for (const auto& c : rd) {
-    EXPECT_TRUE(c.status.ok()) << c.status.message();
-    EXPECT_TRUE(seen.insert(c.user_data).second)
-        << "duplicate completion for " << c.user_data;
-  }
-  for (uint32_t p = 0; p < kPages; ++p) EXPECT_EQ(out[p], images[p]);
-
-  auto stats = (*eng)->stats();
-  EXPECT_EQ(stats.reads, kPages);
-  EXPECT_EQ(stats.writes, kPages);
-  EXPECT_EQ(stats.errors, 0u);
-  (*eng)->Shutdown();
-  (void)File::Remove(path);
-}
-
-TEST_F(AsyncIoTest, PoolEngineReadWriteBatch) { RunEngineReadWriteBatch("pool"); }
-
-TEST_F(AsyncIoTest, UringEngineReadWriteBatch) {
-  if (!aio::AsyncFileEngine::UringSupported()) {
-    GTEST_SKIP() << "kernel has no io_uring";
-  }
-  RunEngineReadWriteBatch("uring");
-}
-
-// The same fault schedule must play out identically on both backends: the
-// parity contract that lets sanitizer runs pin bugs on the deterministic
-// pool while production runs uring.
-void RunIoErrorMidBatch(const std::string& backend) {
-  const std::string path = TmpPath("aio_err_" + backend);
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
-  const uint32_t kPages = 6;
-  ASSERT_TRUE(file->Truncate(kPages * kPageSize).ok());
-
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = backend;
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
-
-  // Fail exactly one read in the middle of the batch.
-  fault::FaultRegistry::Instance().Arm("aio.read",
-                                       fault::FaultSpec::FailNth(3));
-  std::vector<std::string> out(kPages, std::string(kPageSize, 'x'));
-  std::vector<aio::AioRequest> reqs(kPages);
-  for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].op = aio::Op::kRead;
-    reqs[p].fd = file->fd();
-    reqs[p].offset = static_cast<uint64_t>(p) * kPageSize;
-    reqs[p].buf = out[p].data();
-    reqs[p].len = kPageSize;
-    reqs[p].user_data = p;
-  }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto cs = ReapAll(eng->get(), kPages);
-  ASSERT_EQ(cs.size(), kPages);
-  uint32_t failed = 0;
-  for (const auto& c : cs) {
-    if (!c.status.ok()) ++failed;
-  }
-  EXPECT_EQ(failed, 1u) << "exactly the scheduled request fails";
-  EXPECT_EQ((*eng)->stats().errors, 1u);
-  (*eng)->Shutdown();
-  (void)File::Remove(path);
-}
-
-TEST_F(AsyncIoTest, PoolIoErrorMidBatchFailsOnlyThatRequest) {
-  RunIoErrorMidBatch("pool");
-}
-
-TEST_F(AsyncIoTest, UringIoErrorMidBatchFailsOnlyThatRequest) {
-  if (!aio::AsyncFileEngine::UringSupported()) {
-    GTEST_SKIP() << "kernel has no io_uring";
-  }
-  RunIoErrorMidBatch("uring");
-}
-
-void RunShortCompletionLoopsWhole(const std::string& backend) {
-  const std::string path = TmpPath("aio_short_" + backend);
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file->Truncate(4 * kPageSize).ok());
-  const std::string image = PatternPage(7);
-  ASSERT_TRUE(file->WriteAt(2 * kPageSize, image.data(), kPageSize).ok());
-
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = backend;
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
-
-  // Every aio read completes short (100 bytes) until disarmed; the engine
-  // must loop each one to full length and still report one completion.
-  fault::FaultSpec shortread;
-  shortread.action = fault::FaultAction::kShortWrite;
-  shortread.max_bytes = 100;
-  fault::FaultRegistry::Instance().Arm("aio.read", shortread);
-
-  std::string out(kPageSize, 'x');
-  aio::AioRequest r;
-  r.op = aio::Op::kRead;
-  r.fd = file->fd();
-  r.offset = 2 * kPageSize;
-  r.buf = out.data();
-  r.len = kPageSize;
-  r.user_data = 42;
-  ASSERT_TRUE((*eng)->Submit(&r, 1).ok());
-  auto cs = ReapAll(eng->get(), 1);
-  ASSERT_EQ(cs.size(), 1u);
-  EXPECT_TRUE(cs[0].status.ok()) << cs[0].status.message();
-  EXPECT_EQ(cs[0].bytes, kPageSize) << "caller never sees a prefix";
-  EXPECT_EQ(out, image);
-  EXPECT_GE((*eng)->stats().short_fixups, 1u);
-  (*eng)->Shutdown();
-  (void)File::Remove(path);
-}
-
-TEST_F(AsyncIoTest, PoolShortCompletionLoopsToFullLength) {
-  RunShortCompletionLoopsWhole("pool");
-}
-
-TEST_F(AsyncIoTest, UringShortCompletionLoopsToFullLength) {
-  if (!aio::AsyncFileEngine::UringSupported()) {
-    GTEST_SKIP() << "kernel has no io_uring";
-  }
-  RunShortCompletionLoopsWhole("uring");
-}
-
-TEST_F(AsyncIoTest, ReorderedCompletionsDeliveredExactlyOnce) {
-  const std::string path = TmpPath("aio_reorder");
-  auto file = File::Open(path);
-  ASSERT_TRUE(file.ok());
-  const uint32_t kPages = 12;
-  ASSERT_TRUE(file->Truncate(kPages * kPageSize).ok());
-
-  aio::AsyncFileEngine::Options eo;
-  eo.backend = "pool";
-  auto eng = aio::AsyncFileEngine::Create(eo);
-  ASSERT_TRUE(eng.ok());
-
-  // Defer every third completion: CQEs arrive out of submission order.
-  fault::FaultSpec reorder;
-  reorder.probability = 1.0;
-  reorder.skip = 0;
-  reorder.count = -1;
-  fault::FaultSpec every3 = reorder;
-  every3.probability = 0.34;
-  fault::FaultRegistry::Instance().Arm("aio.reorder", every3);
-
-  std::vector<std::string> out(kPages, std::string(kPageSize, 'x'));
-  std::vector<aio::AioRequest> reqs(kPages);
-  for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].op = aio::Op::kRead;
-    reqs[p].fd = file->fd();
-    reqs[p].offset = static_cast<uint64_t>(p) * kPageSize;
-    reqs[p].buf = out[p].data();
-    reqs[p].len = kPageSize;
-    reqs[p].user_data = 1000 + p;
-  }
-  ASSERT_TRUE((*eng)->Submit(reqs.data(), kPages).ok());
-  auto cs = ReapAll(eng->get(), kPages);
-  ASSERT_EQ(cs.size(), kPages) << "a deferred completion must never be lost";
-  std::set<uint64_t> seen;
-  for (const auto& c : cs) {
-    EXPECT_TRUE(seen.insert(c.user_data).second)
-        << "duplicate delivery of " << c.user_data;
-  }
-  (*eng)->Shutdown();
-  (void)File::Remove(path);
-}
-
-// ---- AsyncPageIo over stores ------------------------------------------------
-
 void SeedStore(InMemoryStore* store, uint32_t pages) {
   for (uint32_t p = 0; p < pages; ++p) {
     ASSERT_TRUE(store->WritePages(1, 0, p, 1, PatternPage(p).data()).ok());
@@ -287,15 +66,157 @@ void SeedStore(InMemoryStore* store, uint32_t pages) {
 
 uint64_t Key(uint32_t p) { return PageAddr{1, 0, p}.Pack(); }
 
+// ---- AsyncPageIo fault matrix ----------------------------------------------
+//
+// One page-level harness over InMemoryStore: a batch of consecutive-key
+// requests of one kind goes in as a single Submit (so the pool coalesces it
+// into runs), every completion is reaped, and the case checks what came out.
+
+struct BatchResult {
+  std::vector<aio::AioCompletion> completions;
+  aio::AioStats stats;
+};
+
+/// Submits pages [0, pages) of `store` as one batch of reads (into `out`) or
+/// writes (of PatternPage) and reaps every completion.
+BatchResult RunBatch(InMemoryStore* store, bool write, uint32_t pages,
+                     std::vector<std::string>* out) {
+  StorePageIo sync_io(store);
+  AsyncPageIo io(&sync_io, 4);
+  std::vector<std::string> images;
+  for (uint32_t p = 0; p < pages; ++p) images.push_back(PatternPage(p));
+  out->assign(pages, std::string(kPageSize, 'x'));
+  std::vector<AsyncPageIo::Request> reqs(pages);
+  for (uint32_t p = 0; p < pages; ++p) {
+    reqs[p].write = write;
+    reqs[p].key = Key(p);
+    reqs[p].buf = write ? images[p].data() : (*out)[p].data();
+    reqs[p].user_data = 1000 + p;
+  }
+  BatchResult r;
+  EXPECT_TRUE(io.Submit(reqs.data(), pages).ok());
+  r.completions = ReapAll(&io, pages);
+  io.Shutdown();
+  r.stats = io.stats();
+  return r;
+}
+
+/// Every token 1000..1000+pages-1 completed exactly once.
+void ExpectEachTokenOnce(const std::vector<aio::AioCompletion>& cs,
+                         uint32_t pages) {
+  ASSERT_EQ(cs.size(), pages) << "a completion was lost";
+  std::set<uint64_t> seen;
+  for (const auto& c : cs) {
+    EXPECT_GE(c.user_data, 1000u);
+    EXPECT_LT(c.user_data, 1000u + pages);
+    EXPECT_TRUE(seen.insert(c.user_data).second)
+        << "duplicate completion for " << c.user_data;
+  }
+}
+
+TEST_F(AsyncIoTest, ReadWriteBatchRoundTripsInCoalescedRuns) {
+  const uint32_t kPages = 16;
+  InMemoryStore store;
+  std::vector<std::string> out;
+  BatchResult w = RunBatch(&store, /*write=*/true, kPages, &out);
+  ExpectEachTokenOnce(w.completions, kPages);
+  for (const auto& c : w.completions) {
+    EXPECT_TRUE(c.status.ok()) << c.status.message();
+    EXPECT_EQ(c.bytes, kPageSize);
+  }
+  EXPECT_EQ(w.stats.writes, kPages);
+  EXPECT_EQ(w.stats.reads, 0u);
+  EXPECT_EQ(w.stats.errors, 0u);
+  EXPECT_LT(w.stats.write_runs, w.stats.writes)
+      << "consecutive queued writes must share device ops";
+
+  BatchResult r = RunBatch(&store, /*write=*/false, kPages, &out);
+  ExpectEachTokenOnce(r.completions, kPages);
+  for (const auto& c : r.completions) {
+    EXPECT_TRUE(c.status.ok()) << c.status.message();
+  }
+  for (uint32_t p = 0; p < kPages; ++p) EXPECT_EQ(out[p], PatternPage(p));
+  EXPECT_EQ(r.stats.reads, kPages);
+  EXPECT_EQ(r.stats.writes, 0u);
+  EXPECT_EQ(r.stats.errors, 0u);
+  EXPECT_LT(r.stats.read_runs, r.stats.reads);
+}
+
+TEST_F(AsyncIoTest, IoErrorInsideCoalescedRunFailsOnlyThatRequest) {
+  const uint32_t kPages = 6;
+  InMemoryStore store;
+  SeedStore(&store, kPages);
+  // Fail exactly one read in the middle of the run.
+  fault::FaultRegistry::Instance().Arm("aio.read",
+                                       fault::FaultSpec::FailNth(3));
+  std::vector<std::string> out;
+  BatchResult r = RunBatch(&store, /*write=*/false, kPages, &out);
+  ExpectEachTokenOnce(r.completions, kPages);
+  uint32_t failed = 0;
+  for (const auto& c : r.completions) {
+    const uint32_t p = static_cast<uint32_t>(c.user_data - 1000);
+    if (c.status.ok()) {
+      EXPECT_EQ(c.bytes, kPageSize);
+      EXPECT_EQ(out[p], PatternPage(p)) << "neighbour of the fault damaged";
+    } else {
+      ++failed;
+      EXPECT_EQ(c.bytes, 0u);
+    }
+  }
+  EXPECT_EQ(failed, 1u) << "exactly the scheduled request fails";
+  EXPECT_EQ(r.stats.reads, kPages);
+  EXPECT_EQ(r.stats.errors, 1u);
+  // The run is carved around the faulted request, not split per page.
+  EXPECT_LT(r.stats.read_runs, kPages - 1);
+}
+
+TEST_F(AsyncIoTest, ShortCompletionLoopsToFullLength) {
+  const uint32_t kPages = 4;
+  InMemoryStore store;
+  // Every aio transfer completes short (100 bytes) until disarmed; the pool
+  // must finish each one at full length and still report one completion.
+  fault::FaultSpec shortio;
+  shortio.action = fault::FaultAction::kShortWrite;
+  shortio.max_bytes = 100;
+  shortio.count = -1;
+  fault::FaultRegistry::Instance().Arm("aio.write", shortio);
+  fault::FaultRegistry::Instance().Arm("aio.read", shortio);
+  std::vector<std::string> out;
+  BatchResult w = RunBatch(&store, /*write=*/true, kPages, &out);
+  BatchResult r = RunBatch(&store, /*write=*/false, kPages, &out);
+  for (const BatchResult* b : {&w, &r}) {
+    ExpectEachTokenOnce(b->completions, kPages);
+    for (const auto& c : b->completions) {
+      EXPECT_TRUE(c.status.ok()) << c.status.message();
+      EXPECT_EQ(c.bytes, kPageSize) << "caller never sees a prefix";
+    }
+    EXPECT_GE(b->stats.short_fixups, 1u);
+    EXPECT_EQ(b->stats.errors, 0u);
+  }
+  for (uint32_t p = 0; p < kPages; ++p) EXPECT_EQ(out[p], PatternPage(p));
+}
+
+TEST_F(AsyncIoTest, ReorderedCompletionsDeliveredExactlyOnce) {
+  const uint32_t kPages = 12;
+  InMemoryStore store;
+  SeedStore(&store, kPages);
+  // Defer about every third completion: they arrive out of submission order.
+  fault::FaultSpec every3;
+  every3.probability = 0.34;
+  every3.count = -1;
+  fault::FaultRegistry::Instance().Arm("aio.reorder", every3);
+  std::vector<std::string> out;
+  BatchResult r = RunBatch(&store, /*write=*/false, kPages, &out);
+  ExpectEachTokenOnce(r.completions, kPages);
+  EXPECT_GT(r.stats.reorders, 0u) << "the schedule never deferred anything";
+  for (uint32_t p = 0; p < kPages; ++p) EXPECT_EQ(out[p], PatternPage(p));
+}
+
 TEST_F(AsyncIoTest, WorkerPoolPageIoReadsThroughSyncStore) {
   InMemoryStore store;
   SeedStore(&store, 8);
   StorePageIo sync_io(&store);
-  AsyncPageIoOptions opts;
-  opts.backend = "pool";
-  auto io = MakeAsyncPageIo(opts, &sync_io, nullptr);
-  ASSERT_TRUE(io.ok());
-  EXPECT_STREQ((*io)->backend(), "pool");
+  AsyncPageIo io(&sync_io, 4);
 
   std::vector<std::string> out(8, std::string(kPageSize, 'x'));
   std::vector<AsyncPageIo::Request> reqs(8);
@@ -305,77 +226,14 @@ TEST_F(AsyncIoTest, WorkerPoolPageIoReadsThroughSyncStore) {
     reqs[p].buf = out[p].data();
     reqs[p].user_data = p;
   }
-  ASSERT_TRUE((*io)->Submit(reqs.data(), 8).ok());
-  auto cs = ReapAll(io->get(), 8);
+  ASSERT_TRUE(io.Submit(reqs.data(), 8).ok());
+  auto cs = ReapAll(&io, 8);
   ASSERT_EQ(cs.size(), 8u);
   for (const auto& c : cs) {
     ASSERT_TRUE(c.status.ok()) << c.status.message();
     EXPECT_EQ(out[c.user_data], PatternPage(static_cast<uint32_t>(c.user_data)));
   }
-  (*io)->Shutdown();
-}
-
-// The uring page path over a real storage area must keep the integrity
-// envelope: raw writes stamp trailers at completion, raw reads verify — and
-// a quarantined page is not raw-reachable, forcing the sync fallback.
-TEST_F(AsyncIoTest, FileEnginePageIoKeepsIntegrityEnvelope) {
-  const std::string path = TmpPath("aio_area.bess");
-  auto area = StorageArea::Create(path, /*area_id=*/3, /*initial_extents=*/1);
-  ASSERT_TRUE(area.ok());
-  AreaSegmentStore raw;
-  raw.AddArea(1, 3, area->get());
-  StorePageIo sync_io(&raw);
-
-  AsyncPageIoOptions opts;
-  opts.backend = aio::AsyncFileEngine::UringSupported() ? "auto" : "pool";
-  auto io = MakeAsyncPageIo(opts, &sync_io, &raw);
-  ASSERT_TRUE(io.ok());
-
-  // Async-write four pages, then async-read them back.
-  const uint32_t kPages = 4;
-  std::vector<std::string> images;
-  for (uint32_t p = 0; p < kPages; ++p) images.push_back(PatternPage(p));
-  std::vector<AsyncPageIo::Request> reqs(kPages);
-  for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].write = true;
-    reqs[p].key = PageAddr{1, 3, p}.Pack();
-    reqs[p].buf = images[p].data();
-    reqs[p].lsn = 100 + p;
-    reqs[p].user_data = p;
-  }
-  ASSERT_TRUE((*io)->Submit(reqs.data(), kPages).ok());
-  auto ws = ReapAll(io->get(), kPages);
-  ASSERT_EQ(ws.size(), kPages);
-  for (const auto& c : ws) ASSERT_TRUE(c.status.ok()) << c.status.message();
-  ASSERT_TRUE((*area)->Sync().ok());
-
-  std::vector<std::string> out(kPages, std::string(kPageSize, 'x'));
-  for (uint32_t p = 0; p < kPages; ++p) {
-    reqs[p].write = false;
-    reqs[p].buf = out[p].data();
-  }
-  ASSERT_TRUE((*io)->Submit(reqs.data(), kPages).ok());
-  auto rs = ReapAll(io->get(), kPages);
-  ASSERT_EQ(rs.size(), kPages);
-  for (const auto& c : rs) ASSERT_TRUE(c.status.ok()) << c.status.message();
-  for (uint32_t p = 0; p < kPages; ++p) EXPECT_EQ(out[p], images[p]);
-
-  // The trailers really were stamped: the synchronous verified read agrees.
-  std::string verify(kPageSize, 'x');
-  ASSERT_TRUE((*area)->ReadPages(0, 1, verify.data()).ok());
-  EXPECT_EQ(verify, images[0]);
-
-  // Raw-run resolution: a stamped page resolves; a run crossing the extent
-  // boundary or addressing an unknown area does not.
-  int fd = -1;
-  uint64_t off = 0;
-  EXPECT_TRUE(raw.RawRun(PageAddr{1, 3, 1}.Pack(), 1, &fd, &off));
-  EXPECT_FALSE(raw.RawRun(PageAddr{1, 3, kPagesPerExtent - 1}.Pack(), 2, &fd,
-                          &off))
-      << "extent-crossing run must fall back to the sync path";
-  EXPECT_FALSE(raw.RawRun(PageAddr{9, 9, 0}.Pack(), 1, &fd, &off));
-  (*io)->Shutdown();
-  (void)File::Remove(path);
+  io.Shutdown();
 }
 
 // ---- push-based scan --------------------------------------------------------
@@ -384,16 +242,13 @@ TEST_F(AsyncIoTest, ScanRangeDeliversInOrderAndCountsPrefetchHits) {
   InMemoryStore store;
   SeedStore(&store, 64);
   StorePageIo sync_io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
-  ASSERT_TRUE(aio_io.ok());
+  AsyncPageIo aio_io(&sync_io, 4);
 
   HeapPlacement placement(16);
   StorePageIo io(&store);
   FrameTable::Options opts;
   opts.frame_count = 16;
-  opts.async_io = aio_io->get();
+  opts.async_io = &aio_io;
   opts.async_queue_depth = 8;
   FrameTable table(opts, &placement, &io);
   ASSERT_TRUE(table.Init().ok());
@@ -420,16 +275,13 @@ TEST_F(AsyncIoTest, ScanRangeSurvivesIoErrorAndReorderSchedules) {
   InMemoryStore store;
   SeedStore(&store, 64);
   StorePageIo sync_io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &sync_io, nullptr);
-  ASSERT_TRUE(aio_io.ok());
+  AsyncPageIo aio_io(&sync_io, 4);
 
   HeapPlacement placement(16);
   StorePageIo io(&store);
   FrameTable::Options opts;
   opts.frame_count = 16;
-  opts.async_io = aio_io->get();
+  opts.async_io = &aio_io;
   opts.async_queue_depth = 8;
   FrameTable table(opts, &placement, &io);
   ASSERT_TRUE(table.Init().ok());
@@ -462,39 +314,91 @@ TEST_F(AsyncIoTest, ScanRangeSurvivesIoErrorAndReorderSchedules) {
   table.Stop();
 }
 
-TEST_F(AsyncIoTest, CachedStoreScanPagesPushesOverAreaFiles) {
+/// Physical byte offset of a logical page (mirrors StorageArea's layout:
+/// header page, then per extent one meta page + kPagesPerExtent data pages).
+uint64_t PhysicalOffset(PageId page) {
+  const uint64_t extent = page / kPagesPerExtent;
+  const uint64_t within = page % kPagesPerExtent;
+  return (1 + extent * (kPagesPerExtent + 1) + 1 + within) * kPageSize;
+}
+
+// The pool over StorePageIo(AreaSegmentStore) is the only async path to real
+// area files: its writes must go through StorageArea::WritePages (trailers
+// stamped) and its coalesced reads must split at extent seams.
+TEST_F(AsyncIoTest, ScanRangePushesOverAreaFiles) {
   const std::string path = TmpPath("aio_scan_area.bess");
   auto area = StorageArea::Create(path, /*area_id=*/0, /*initial_extents=*/2);
   ASSERT_TRUE(area.ok());
   AreaSegmentStore inner;
   inner.AddArea(1, 0, area->get());
-  const uint32_t kPages = 96;  // crosses an extent seam
-  for (uint32_t p = 0; p < kPages; ++p) {
-    ASSERT_TRUE(inner.WritePages(1, 0, p, 1, PatternPage(p).data()).ok());
+  StorePageIo sync_io(&inner);
+  AsyncPageIo aio_io(&sync_io, 4);
+  const uint32_t kPages = 96;
+  const PageId kFirst = kPagesPerExtent - kPages / 2;  // crosses the seam
+
+  // Write every page through the pool, as the async bgwriter does.
+  std::vector<std::string> images;
+  for (uint32_t i = 0; i < kPages; ++i) images.push_back(PatternPage(kFirst + i));
+  std::vector<AsyncPageIo::Request> reqs(kPages);
+  for (uint32_t i = 0; i < kPages; ++i) {
+    reqs[i].write = true;
+    reqs[i].key = Key(kFirst + i);
+    reqs[i].buf = images[i].data();
+    reqs[i].user_data = i;
+  }
+  ASSERT_TRUE(aio_io.Submit(reqs.data(), kPages).ok());
+  auto ws = ReapAll(&aio_io, kPages);
+  ASSERT_EQ(ws.size(), kPages);
+  for (const auto& c : ws) ASSERT_TRUE(c.status.ok()) << c.status.message();
+  ASSERT_TRUE((*area)->Sync().ok());
+
+  // The synchronous verified read agrees with every async-written page.
+  std::string verify(kPageSize, 'x');
+  for (uint32_t i = 0; i < kPages; ++i) {
+    ASSERT_TRUE((*area)->ReadPages(kFirst + i, 1, verify.data()).ok());
+    EXPECT_EQ(verify, images[i]) << "page " << kFirst + i;
   }
 
-  CachedSegmentStore::Options copts;
-  copts.frame_count = 24;
-  copts.async_backend = "auto";
-  copts.async_queue_depth = 8;
-  copts.raw_source = &inner;
-  CachedSegmentStore cache(&inner, copts);
-  ASSERT_TRUE(cache.Init().ok());
-  EXPECT_STRNE(cache.async_backend(), "off");
-
+  HeapPlacement placement(24);
+  StorePageIo io(&inner);
+  FrameTable::Options opts;
+  opts.frame_count = 24;
+  opts.async_io = &aio_io;
+  opts.async_queue_depth = 8;
+  FrameTable table(opts, &placement, &io);
+  ASSERT_TRUE(table.Init().ok());
+  const uint64_t runs_before = aio_io.stats().read_runs;
   std::vector<uint32_t> order;
-  Status st = cache.ScanPages(1, 0, 0, kPages,
-                              [&](PageId page, const void* bytes) {
-                                order.push_back(page);
-                                EXPECT_EQ(0, memcmp(bytes,
-                                                    PatternPage(page).data(),
+  Status st = table.ScanRange(Key(kFirst), kPages,
+                              [&](uint64_t key, const void* page) {
+                                const PageAddr addr = PageAddr::Unpack(key);
+                                order.push_back(addr.page);
+                                EXPECT_EQ(0, memcmp(page,
+                                                    PatternPage(addr.page).data(),
                                                     kPageSize));
                                 return Status::OK();
                               });
   ASSERT_TRUE(st.ok()) << st.message();
   ASSERT_EQ(order.size(), kPages);
-  for (uint32_t i = 0; i < kPages; ++i) EXPECT_EQ(order[i], i);
-  cache.Stop();
+  for (uint32_t i = 0; i < kPages; ++i) EXPECT_EQ(order[i], kFirst + i);
+  EXPECT_LT(aio_io.stats().read_runs - runs_before, kPages)
+      << "staged reads were not coalesced";
+  table.Stop();
+
+  // The async writes stamped trailers: media decay under one of them is
+  // detected by the verified read path, not served as good bytes.
+  {
+    auto f = File::Open(path, /*create=*/false);
+    ASSERT_TRUE(f.ok());
+    const uint64_t off = PhysicalOffset(kFirst) + 100;
+    char b;
+    ASSERT_TRUE(f->ReadAt(off, &b, 1).ok());
+    b = static_cast<char>(b ^ 0x5A);
+    ASSERT_TRUE(f->WriteAt(off, &b, 1).ok());
+  }
+  st = (*area)->ReadPages(kFirst, 1, verify.data());
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  aio_io.Shutdown();
   (void)File::Remove(path);
 }
 

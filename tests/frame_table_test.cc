@@ -756,13 +756,7 @@ TEST(FrameTableTest, CleanedFrameStaysCollectableUntilReported) {
     SeedStore(&store, 8);
     StorePageIo io(&store);
     std::unique_ptr<AsyncPageIo> aio;
-    if (async) {
-      AsyncPageIoOptions aopts;
-      aopts.backend = "pool";
-      auto made = MakeAsyncPageIo(aopts, &io, nullptr);
-      ASSERT_TRUE(made.ok());
-      aio = std::move(*made);
-    }
+    if (async) aio = std::make_unique<AsyncPageIo>(&io, 4);
     HeapPlacement placement(4);
     FrameTable* table_ptr = nullptr;
     std::mutex mu;
@@ -841,17 +835,14 @@ TEST(FrameTableTest, AsyncBgwriterBatchesPayOneWalGatePerBatch) {
   InMemoryStore store;
   SeedStore(&store, 64);
   WalGateCountingIo io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &io, nullptr);
-  ASSERT_TRUE(aio_io.ok());
+  AsyncPageIo aio_io(&io, 4);
 
   HeapPlacement placement(8);
   FrameTable::Options opts;
   opts.frame_count = 8;
   opts.enable_bgwriter = true;
   opts.bgwriter_interval_ms = 1;
-  opts.async_io = aio_io->get();
+  opts.async_io = &aio_io;
   opts.async_queue_depth = 16;
   FrameTable table(opts, &placement, &io);
   ASSERT_TRUE(table.Init().ok());
@@ -891,10 +882,7 @@ TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
   InMemoryStore store;
   SeedStore(&store, 256);
   StorePageIo io(&store);
-  AsyncPageIoOptions aopts;
-  aopts.backend = "pool";
-  auto aio_io = MakeAsyncPageIo(aopts, &io, nullptr);
-  ASSERT_TRUE(aio_io.ok());
+  AsyncPageIo aio_io(&io, 4);
 
   HeapPlacement placement(8);
   FrameTable::Options opts;
@@ -902,7 +890,7 @@ TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
   opts.enable_prefetch = true;
   opts.prefetch_trigger = 2;
   opts.prefetch_window = 4;
-  opts.async_io = aio_io->get();
+  opts.async_io = &aio_io;
   opts.async_queue_depth = 4;
   FrameTable table(opts, &placement, &io);
   ASSERT_TRUE(table.Init().ok());
