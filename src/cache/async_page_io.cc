@@ -86,8 +86,8 @@ void AsyncPageIo::WorkerMain() {
       queue_.pop_front();
       // Batched transfers: queued requests of the same kind for
       // consecutive keys ride one device op (FetchRun / WriteRun) —
-      // block-layer style request merging. Scan staging, prefetch, and
-      // bgwriter flush batches all submit in ascending key order, so the
+      // block-layer style request merging. Scan staging and bgwriter
+      // flush batches both submit in ascending key order, so the
       // natural runs sit adjacent at the queue head; a gap, a kind
       // switch, or a key whose page field would carry into the area bits
       // ends the run.

@@ -16,6 +16,11 @@ namespace {
 constexpr int kBgWaitAttempts = 3;
 constexpr int kPressureRounds = 3;
 constexpr auto kLoadPoll = std::chrono::milliseconds(1);
+/// Bgwriter round shape: at most kBgwriterBatch dirty frames flushed ahead
+/// of the eviction hand, picked from the next kBgwriterLookahead frames it
+/// will reach.
+constexpr uint32_t kBgwriterBatch = 16;
+constexpr uint32_t kBgwriterLookahead = 32;
 
 class MapDirectory : public FrameTable::Directory {
  public:
@@ -54,8 +59,12 @@ Status FrameTable::Init() {
   }
   if (opts_.async_io != nullptr) {
     if (opts_.directory != nullptr) {
-      // Async claim/install runs under only this process's table mutex —
-      // same single-copy hazard as prefetch below.
+      // Async claim/install runs under only this process's table mutex. An
+      // external directory (the shared mapping table) is also written by
+      // other processes' miss paths, which serialize on the SMT latch this
+      // table does not hold — a staged read racing a remote miss could
+      // leave one page resident in two slots, breaking the single-copy
+      // invariant.
       return Status::InvalidArgument(
           "async I/O is unsupported with an external (cross-process) "
           "directory");
@@ -63,16 +72,6 @@ Status FrameTable::Init() {
     if (opts_.async_queue_depth == 0) opts_.async_queue_depth = 1;
     aio_ = opts_.async_io;
     aio_pending_.assign(opts_.frame_count, PendingAio{});
-  }
-  if (opts_.enable_prefetch && opts_.directory != nullptr) {
-    // The prefetch claim/install step runs on the background thread under
-    // only this process's table mutex. An external directory (the shared
-    // mapping table) is also written by other processes' miss paths, which
-    // serialize on the SMT latch that thread does not hold — a prefetch
-    // here racing a remote miss could leave one page resident in two
-    // slots, breaking the single-copy invariant.
-    return Status::InvalidArgument(
-        "prefetch is unsupported with an external (cross-process) directory");
   }
   ClockPolicyOptions co;
   co.use_ref_bits = opts_.clock_ref_bits;
@@ -91,7 +90,7 @@ Status FrameTable::Init() {
     owned_dir_.reset(new MapDirectory());
     dir_ = owned_dir_.get();
   }
-  if (opts_.enable_bgwriter || opts_.enable_prefetch) {
+  if (opts_.enable_bgwriter) {
     std::lock_guard<std::mutex> guard(mu_);
     running_ = true;
     bg_thread_ = std::thread([this] { BackgroundMain(); });
@@ -403,7 +402,6 @@ Result<FrameTable::FixResult> FrameTable::Fix(uint64_t key, bool for_write,
     // Hit.
     if (m.prefetched.exchange(0, std::memory_order_relaxed) != 0) {
       BESS_COUNT_IN(scope_, "cache.prefetch.hits");
-      FeedPrefetchLocked(key, 1);
     }
     policy_->OnAccess(f);
     BESS_RETURN_IF_ERROR(placement_->OnAccess(f, st == FrameState::kDirty));
@@ -432,7 +430,6 @@ Result<FrameTable::FixResult> FrameTable::Fix(uint64_t key, bool for_write,
   Status ls = dir_->Install(key, f);
   if (ls.ok()) ls = placement_->BeginLoad(f);
   if (ls.ok()) {
-    FeedPrefetchLocked(key, 1);
     if (io_ != nullptr) {
       lk.unlock();
       ls = io_->Fetch(key, placement_->frame_data(f));
@@ -804,43 +801,17 @@ Status FrameTable::ScanOrdered(uint32_t count,
   return Status::OK();
 }
 
-// ---- prefetch ---------------------------------------------------------------
-
-void FrameTable::FeedPrefetchLocked(uint64_t key, uint32_t count) {
-  if (!opts_.enable_prefetch || io_ == nullptr || key == 0 || count == 0) {
-    return;
-  }
-  // A repeat of exactly the run already reported (the same page missing
-  // again) adds nothing.
-  if (key + count == pf_next_ && pf_run_ != 0) return;
-  if (key == pf_next_) {
-    pf_run_ += count;
-  } else {
-    pf_run_ = count;
-    pf_frontier_ = key + count;
-  }
-  pf_next_ = key + count;
-  if (pf_frontier_ < pf_next_) pf_frontier_ = pf_next_;
-  // Issue when the run is established and the remaining read-ahead runway
-  // is shorter than the trigger distance (keeps the pipeline ahead).
-  if (pf_run_ >= opts_.prefetch_trigger &&
-      pf_frontier_ < pf_next_ + opts_.prefetch_trigger &&
-      prefetch_q_.size() < 4) {
-    prefetch_q_.emplace_back(pf_frontier_, opts_.prefetch_window);
-    pf_frontier_ += opts_.prefetch_window;
-    bg_cv_.notify_all();
-  }
-}
+// ---- async pipeline ---------------------------------------------------------
 
 void FrameTable::ClaimLoadingRunLocked(uint64_t first, uint32_t count,
                                        std::vector<uint32_t>* frames) {
   // Never evict a staged-but-unconsumed speculative load to stage another:
-  // completed scan/prefetch pages are clean, unpinned and ranked coldest,
+  // completed scan-staged pages are clean, unpinned and ranked coldest,
   // which made them prime PickIdle victims — deep queues cannibalized
   // their own window and every cannibalized page came back as a full-
   // latency demand fix (cache.scan.fallback). The demand path can still
-  // evict prefetched frames, so a truly wasted prefetch is reclaimed
-  // there (and counted cache.prefetch.wasted), not leaked.
+  // evict staged frames, so a truly wasted staged read is reclaimed there
+  // (and counted cache.prefetch.wasted), not leaked.
   auto clean = [&](uint32_t f) {
     return EvictableLocked(f, false) &&
            meta_[f].prefetched.load(std::memory_order_relaxed) == 0;
@@ -864,97 +835,6 @@ void FrameTable::ClaimLoadingRunLocked(uint64_t first, uint32_t count,
   }
 }
 
-void FrameTable::DoPrefetchLocked(std::unique_lock<std::mutex>& lk) {
-  if (aio_ != nullptr) {
-    DoPrefetchAsyncLocked(lk);
-    return;
-  }
-  while (!prefetch_q_.empty()) {
-    auto [start, count] = prefetch_q_.front();
-    prefetch_q_.pop_front();
-    uint64_t first = start;
-    while (count > 0 && dir_->Lookup(first) != kNoFrame) {
-      ++first;
-      --count;
-    }
-    std::vector<uint32_t> frames;
-    ClaimLoadingRunLocked(first, count, &frames);
-    if (frames.empty()) continue;
-    const uint32_t n = static_cast<uint32_t>(frames.size());
-    pf_scratch_.resize(static_cast<size_t>(n) * kPageSize);
-    lk.unlock();
-    const Status fs = io_->FetchRun(first, n, pf_scratch_.data());
-    lk.lock();
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t f = frames[i];
-      if (fs.ok()) {
-        memcpy(placement_->frame_data(f),
-               pf_scratch_.data() + static_cast<size_t>(i) * kPageSize,
-               kPageSize);
-        (void)placement_->FinishLoad(f, false);
-        SetState(f, FrameState::kClean);
-        meta_[f].prefetched.store(1, std::memory_order_relaxed);
-        // No policy OnInsert: an undemanded page should rank coldest so
-        // wasted prefetches recycle first.
-        BESS_COUNT_IN(scope_, "cache.prefetch.issued");
-      } else {
-        dir_->Erase(first + i, f);
-        meta_[f].page_key.store(0, std::memory_order_release);
-        SetState(f, FrameState::kFree);
-      }
-    }
-    load_cv_.notify_all();
-  }
-}
-
-// ---- async pipeline ---------------------------------------------------------
-
-void FrameTable::DoPrefetchAsyncLocked(std::unique_lock<std::mutex>& lk) {
-  while (!prefetch_q_.empty() && aio_inflight_ < opts_.async_queue_depth) {
-    auto [start, count] = prefetch_q_.front();
-    prefetch_q_.pop_front();
-    uint64_t first = start;
-    while (count > 0 && dir_->Lookup(first) != kNoFrame) {
-      ++first;
-      --count;
-    }
-    count = std::min(count, opts_.async_queue_depth - aio_inflight_);
-    std::vector<uint32_t> frames;
-    ClaimLoadingRunLocked(first, count, &frames);
-    if (frames.empty()) continue;
-    const uint32_t n = static_cast<uint32_t>(frames.size());
-    std::vector<AsyncPageIo::Request> reqs(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t f = frames[i];
-      reqs[i].write = false;
-      reqs[i].key = first + i;
-      reqs[i].buf = placement_->frame_data(f);
-      reqs[i].user_data = f;
-      aio_pending_[f] = PendingAio{AioOp::kPrefetchRead, first + i};
-    }
-    aio_inflight_ += n;
-    BESS_HIST("cache.prefetch.depth", aio_inflight_);
-    // Submit without the mutex (the backend may block briefly); the frames
-    // are kLoading with pending ops, so nothing can touch them meanwhile.
-    lk.unlock();
-    const Status ss = aio_->Submit(reqs.data(), n);
-    lk.lock();
-    if (!ss.ok()) {
-      // Nothing was queued: unwind every claimed frame.
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t f = frames[i];
-        aio_pending_[f] = PendingAio{};
-        aio_inflight_--;
-        dir_->Erase(first + i, f);
-        meta_[f].page_key.store(0, std::memory_order_release);
-        SetState(f, FrameState::kFree);
-      }
-      load_cv_.notify_all();
-      return;
-    }
-  }
-}
-
 void FrameTable::ProcessAioLocked(
     const aio::AioCompletion* cs, uint32_t n,
     std::vector<std::pair<uint64_t, uint64_t>>* cleaned) {
@@ -968,7 +848,7 @@ void FrameTable::ProcessAioLocked(
     if (p.op == AioOp::kScanRead) scan_inflight_--;
     FrameMeta& m = meta_[f];
     const bool ok = cs[i].status.ok();
-    if (p.op == AioOp::kPrefetchRead || p.op == AioOp::kScanRead) {
+    if (p.op == AioOp::kScanRead) {
       if (ok) {
         (void)placement_->FinishLoad(f, false);
         SetState(f, FrameState::kClean);
@@ -1068,8 +948,8 @@ void FrameTable::BgFlushRoundLocked(std::unique_lock<std::mutex>& lk) {
       if (is_dirty(f)) cand.push_back(f);
     }
   } else {
-    policy_->FlushHorizon(opts_.bgwriter_lookahead, is_dirty, &cand);
-    if (cand.size() > opts_.bgwriter_batch) cand.resize(opts_.bgwriter_batch);
+    policy_->FlushHorizon(kBgwriterLookahead, is_dirty, &cand);
+    if (cand.size() > kBgwriterBatch) cand.resize(kBgwriterBatch);
   }
   if (cand.empty()) return;
   if (aio_ != nullptr) {
@@ -1199,23 +1079,15 @@ void FrameTable::BackgroundMain() {
   std::unique_lock<std::mutex> lk(mu_);
   while (running_) {
     // With async ops in flight, tick fast to reap completions promptly;
-    // otherwise sleep out the bgwriter interval. Prefetch work only wakes
-    // the thread when it can actually submit (queue depth available) —
-    // else the wait predicate would spin while the pipeline is full.
+    // otherwise sleep out the bgwriter interval.
     const bool pipeline_busy = aio_ != nullptr && aio_inflight_ > 0;
     bg_cv_.wait_for(
         lk,
         std::chrono::milliseconds(pipeline_busy ? 1
                                                 : opts_.bgwriter_interval_ms),
-        [&] {
-          return !running_ || urgent_flush_ ||
-                 (!prefetch_q_.empty() &&
-                  (aio_ == nullptr ||
-                   aio_inflight_ < opts_.async_queue_depth));
-        });
+        [&] { return !running_ || urgent_flush_; });
     if (!running_) break;
     if (aio_ != nullptr) (void)ReapAioLocked(lk, 0);
-    if (opts_.enable_prefetch) DoPrefetchLocked(lk);
     BgFlushRoundLocked(lk);
   }
 }

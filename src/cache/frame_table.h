@@ -25,16 +25,17 @@
 //                shared mapping table in shm).
 //
 // Replacement is pluggable (cache/replacement_policy.h). Two I/O services
-// run off the demand path on a background thread:
+// run off the demand path:
 //
-//   bgwriter  — flushes dirty frames ahead of the eviction hand, batched
-//               and LSN-ordered (one WAL gate per batch), so foreground
-//               faults find clean victims instead of paying synchronous
-//               write-back (`cache.bgwriter.*`, `cache.evict.sync_writeback`).
-//   prefetch  — segment-sequential read-ahead driven by demand-miss
-//               patterns (`cache.prefetch.{issued,hits,wasted}`); PageAddr
-//               keys are dense within an area, so key+1 is the next
-//               sequential page.
+//   bgwriter  — a background thread flushes dirty frames ahead of the
+//               eviction hand, batched and LSN-ordered (one WAL gate per
+//               batch), so foreground faults find clean victims instead of
+//               paying synchronous write-back (`cache.bgwriter.*`,
+//               `cache.evict.sync_writeback`).
+//   scan      — ScanRange/ScanKeys push reads for upcoming pages into
+//               kLoading frames ahead of the consumer through the async
+//               backend (`cache.scan.*`); each staged read is counted
+//               `cache.prefetch.{issued,hits,wasted}`.
 #ifndef BESS_CACHE_FRAME_TABLE_H_
 #define BESS_CACHE_FRAME_TABLE_H_
 
@@ -42,7 +43,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -88,7 +88,7 @@ struct FrameMeta {
   std::atomic<uint64_t> rec_lsn{0};
   std::atomic<uint32_t> pins{0};        ///< pin / cross-process binding count
   std::atomic<uint8_t> state{0};        ///< FrameState
-  std::atomic<uint8_t> prefetched{0};   ///< loaded ahead, not yet demanded
+  std::atomic<uint8_t> prefetched{0};   ///< scan-staged, not yet consumed
   /// Write-back ownership. Claimed (CAS 0 → 1) before any state change by
   /// the one flusher whose I/O is pending — across threads AND processes —
   /// so a frame re-dirtied mid-write (kWriting → kDirty) cannot enter a
@@ -165,8 +165,9 @@ class FrameTable {
     virtual ~PageIo() = default;
     virtual Status Fetch(uint64_t key, void* buf) = 0;
     virtual Status Write(uint64_t key, const void* buf) = 0;
-    /// Sequential run fetch for prefetch; keys are PageAddr-packed and
-    /// dense, so key + i addresses page first + i of the same area.
+    /// Sequential run fetch (the async run executor's read path); keys are
+    /// PageAddr-packed and dense, so key + i addresses page first + i of
+    /// the same area.
     virtual Status FetchRun(uint64_t first_key, uint32_t count, void* buf) {
       for (uint32_t i = 0; i < count; ++i) {
         BESS_RETURN_IF_ERROR(
@@ -216,22 +217,15 @@ class FrameTable {
 
     bool enable_bgwriter = false;
     uint32_t bgwriter_interval_ms = 5;
-    uint32_t bgwriter_batch = 16;        ///< frames per round (flush-ahead)
-    uint32_t bgwriter_lookahead = 32;    ///< horizon scanned for candidates
-
-    bool enable_prefetch = false;
-    uint32_t prefetch_trigger = 3;       ///< sequential misses before issue
-    uint32_t prefetch_window = 8;        ///< pages per read-ahead
 
     /// Batched asynchronous I/O backend (non-owning; must outlive the
     /// table — Stop() drains all in-flight operations before returning).
-    /// When set: prefetch submits deep-queue read batches straight into
-    /// kLoading frames instead of fetching one run at a time, bgwriter
-    /// rounds go out as one batched submission with a single WAL gate per
-    /// batch, and ScanRange pushes pages ahead of its consumer. Null keeps
-    /// the classic synchronous paths.
+    /// When set: bgwriter rounds go out as one batched submission with a
+    /// single WAL gate per batch, and ScanRange/ScanKeys push pages ahead
+    /// of their consumer. Null keeps the classic synchronous paths.
+    /// Rejected with an external (cross-process) directory.
     AsyncPageIo* async_io = nullptr;
-    /// Max async page operations in flight (prefetch + scan + flush).
+    /// Max async page operations in flight (scan + flush).
     uint32_t async_queue_depth = 16;
     /// One foreground pressure-wait slice (the bounded wait for the
     /// bgwriter to mint a clean victim). Exposed for regression tests.
@@ -263,7 +257,7 @@ class FrameTable {
   FrameTable& operator=(const FrameTable&) = delete;
 
   /// Validates options, builds the replacement policy, starts the
-  /// background thread when bgwriter/prefetch are enabled.
+  /// background thread when the bgwriter is enabled.
   Status Init();
   /// Stops the background thread (idempotent; ~FrameTable calls it).
   void Stop();
@@ -346,7 +340,7 @@ class FrameTable {
   enum class WritebackMode { kSyncEvict, kFlush, kBackground };
 
   /// What an in-flight async operation will do to its frame when reaped.
-  enum class AioOp : uint8_t { kNone = 0, kPrefetchRead, kScanRead, kFlushWrite };
+  enum class AioOp : uint8_t { kNone = 0, kScanRead, kFlushWrite };
   struct PendingAio {
     AioOp op = AioOp::kNone;
     uint64_t key = 0;
@@ -366,8 +360,6 @@ class FrameTable {
                          WritebackMode mode);
   Status FlushDirtyLocked(std::unique_lock<std::mutex>& lk,
                           WritebackMode mode);
-  void FeedPrefetchLocked(uint64_t key, uint32_t count);
-  void DoPrefetchLocked(std::unique_lock<std::mutex>& lk);
   void BgFlushRoundLocked(std::unique_lock<std::mutex>& lk);
   void BackgroundMain();
 
@@ -383,8 +375,6 @@ class FrameTable {
   Status ScanOrdered(uint32_t count,
                      const std::function<uint64_t(uint32_t)>& key_at,
                      const ScanConsumer& consume);
-  /// Submits prefetch queue entries as async read batches (deep queue).
-  void DoPrefetchAsyncLocked(std::unique_lock<std::mutex>& lk);
   /// Submits one bgwriter candidate set as a single async write batch with
   /// one WAL durability gate.
   void AsyncBgFlushBatchLocked(std::unique_lock<std::mutex>& lk,
@@ -418,13 +408,6 @@ class FrameTable {
   bool running_ = false;
   bool urgent_flush_ = false;
   std::thread bg_thread_;
-
-  // Sequential-run detector (guarded by mu_).
-  uint64_t pf_next_ = 0;      ///< next expected demand key
-  uint64_t pf_frontier_ = 0;  ///< first key not yet prefetched/queued
-  uint32_t pf_run_ = 0;
-  std::deque<std::pair<uint64_t, uint32_t>> prefetch_q_;
-  std::string pf_scratch_;
 
   // Async pipeline state (guarded by mu_). A frame with a PendingAio op is
   // kLoading (reads) or kWriting+writer (flushes): never evictable, never

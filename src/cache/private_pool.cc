@@ -109,7 +109,6 @@ Status PrivateBufferPool::Init() {
   }
   FrameTable::Options topts;
   topts.frame_count = frame_count_;
-  topts.policy = options_.policy;
   topts.enable_bgwriter = options_.enable_bgwriter;
   topts.bgwriter_interval_ms = options_.bgwriter_interval_ms;
   table_.reset(new FrameTable(topts, &placement_, &store_io_, &scope_));

@@ -9,7 +9,7 @@
 //
 // This class is a thin *configuration* of the shared frame-lifecycle core
 // (cache/frame_table.h): frame states, eviction, write-back ordering and
-// the optional bgwriter/prefetch services all live there. What this file
+// the optional bgwriter service all live there. What this file
 // contributes is the placement — an mmap'd pool file plus the paper's
 // protection-state machinery (§4.2):
 //
@@ -40,7 +40,6 @@ class PrivateBufferPool : public FaultRangeOwner {
   /// Frame-core knobs exposed to pool users (bench_modes drives the
   /// bgwriter comparison through these).
   struct Options {
-    std::string policy = "clock";
     bool enable_bgwriter = false;
     uint32_t bgwriter_interval_ms = 5;
   };

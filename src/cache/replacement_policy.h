@@ -57,7 +57,7 @@ class ReplacementPolicy {
                               const DemoteHook& demote) = 0;
 
   /// Like PickVictim but read-only: no ref bits cleared, no demotions, no
-  /// hand movement. Used by prefetch so speculative loads never burn a
+  /// hand movement. Used by scan staging so speculative loads never burn a
   /// resident page's second chance.
   virtual uint32_t PickIdle(const FrameFilter& evictable) const = 0;
 

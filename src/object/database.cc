@@ -20,6 +20,9 @@ constexpr uint32_t kCatalogMagic = 0xBE55CA7Au;
 constexpr uint32_t kCatalogPages = 16;
 // By construction the catalog is the very first allocation in area 0.
 constexpr PageId kCatalogFirstPage = 0;
+/// Objects at least this big (bytes) become transparent large objects with
+/// their own disk segment (§2.1); at most kMaxTransparentObjectSize.
+constexpr uint32_t kLargeObjectThreshold = kPageSize;
 
 thread_local Txn* tl_txn = nullptr;
 
@@ -213,10 +216,8 @@ Status Database::CreateNew() {
     areas_.push_back(std::move(area0));
   }
 
-  if (options_.use_wal) {
-    BESS_ASSIGN_OR_RETURN(
-        wal_, LogManager::Open(options_.dir + "/wal", WalOptions(options_)));
-  }
+  BESS_ASSIGN_OR_RETURN(
+      wal_, LogManager::Open(options_.dir + "/wal", WalOptions(options_)));
   InstallRepairHandlers();
   std::lock_guard<std::mutex> guard(meta_mutex_);
   catalog_dirty_ = true;
@@ -236,28 +237,24 @@ Status Database::OpenExisting() {
     return Status::NotFound("no storage areas in " + options_.dir);
   }
   catalog_segment_ = SegmentId{options_.db_id, 0, kCatalogFirstPage};
-  if (options_.use_wal) {
-    // The WAL moved from a single file to the <dir>/wal directory. A
-    // leftover wal.log may hold logged-but-unforced commits from a crash
-    // of the old version; silently starting an empty segmented log would
-    // drop them. Refuse instead of guessing.
-    if (File::Exists(options_.dir + "/wal.log")) {
-      return Status::NotSupported(
-          "legacy single-file WAL found at " + options_.dir +
-          "/wal.log; this version uses a segmented log directory. Reopen "
-          "with the previous version to recover and checkpoint (clean "
-          "shutdown), then delete wal.log — or delete it directly only if "
-          "it is known to hold no unrecovered commits");
-    }
-    BESS_ASSIGN_OR_RETURN(
-        wal_, LogManager::Open(options_.dir + "/wal", WalOptions(options_)));
-    // Repair handlers must be live before recovery: redo's before-image
-    // reads may themselves hit rotted pages.
-    InstallRepairHandlers();
-    BESS_RETURN_IF_ERROR(RunRecovery());
-  } else {
-    InstallRepairHandlers();
+  // The WAL moved from a single file to the <dir>/wal directory. A leftover
+  // wal.log may hold logged-but-unforced commits from a crash of the old
+  // version; silently starting an empty segmented log would drop them.
+  // Refuse instead of guessing.
+  if (File::Exists(options_.dir + "/wal.log")) {
+    return Status::NotSupported(
+        "legacy single-file WAL found at " + options_.dir +
+        "/wal.log; this version uses a segmented log directory. Reopen "
+        "with the previous version to recover and checkpoint (clean "
+        "shutdown), then delete wal.log — or delete it directly only if "
+        "it is known to hold no unrecovered commits");
   }
+  BESS_ASSIGN_OR_RETURN(
+      wal_, LogManager::Open(options_.dir + "/wal", WalOptions(options_)));
+  // Repair handlers must be live before recovery: redo's before-image reads
+  // may themselves hit rotted pages.
+  InstallRepairHandlers();
+  BESS_RETURN_IF_ERROR(RunRecovery());
   return LoadCatalog();
 }
 
@@ -729,35 +726,23 @@ Result<Lsn> Database::LogPageSet(TxnId txn_id,
 }
 
 Status Database::ForcePages(const std::vector<PageImage>& pages, Lsn lsn,
-                            const std::vector<Lsn>* page_lsns) {
-  std::vector<StorageArea*> touched;
+                            const std::vector<Lsn>& page_lsns) {
+  // No area sync here: the flushed commit record + after-images carry
+  // durability and Checkpoint syncs before truncating the log, so the
+  // commit path waits on one fsync chain (the WAL's), not two.
   for (size_t i = 0; i < pages.size(); ++i) {
     const PageImage& img = pages[i];
     StorageArea* a = AreaOrNull(img.area);
     if (a == nullptr) return Status::Internal("dirty page in unknown area");
     BESS_RETURN_IF_ERROR(a->WritePages(img.page, 1, img.bytes.data(), lsn));
-    if (options_.use_wal && wal_ != nullptr) {
-      // DPT entry strictly after the write: every entry a checkpoint trim
-      // swaps out describes a completed write its area sync then covers.
-      // The recLSN is the page's own kPageWrite record (never the commit
-      // LSN — redo from the commit record would skip the page's images).
-      const Lsn rec_lsn =
-          page_lsns != nullptr && i < page_lsns->size() ? (*page_lsns)[i]
-                                                        : lsn;
-      if (rec_lsn != kNullLsn) {
-        TouchDpt(PageAddr{img.db, img.area, img.page}.Pack(), rec_lsn);
-      }
+    // DPT entry strictly after the write: every entry a checkpoint trim
+    // swaps out describes a completed write its area sync then covers.
+    // The recLSN is the page's own kPageWrite record (never the commit
+    // LSN — redo from the commit record would skip the page's images).
+    const Lsn rec_lsn = i < page_lsns.size() ? page_lsns[i] : lsn;
+    if (rec_lsn != kNullLsn) {
+      TouchDpt(PageAddr{img.db, img.area, img.page}.Pack(), rec_lsn);
     }
-    if (std::find(touched.begin(), touched.end(), a) == touched.end()) {
-      touched.push_back(a);
-    }
-  }
-  // Strict force syncs here, inside the commit. With the WAL on the sync
-  // is deferred (the flushed commit record + after-images carry
-  // durability; Checkpoint syncs before truncating the log), so the
-  // commit path waits on one fsync chain instead of two.
-  if (!options_.use_wal || options_.sync_on_commit) {
-    for (StorageArea* a : touched) BESS_RETURN_IF_ERROR(a->Sync());
   }
   return Status::OK();
 }
@@ -768,7 +753,6 @@ Status Database::LogAndForce(TxnId txn_id,
     // No object pages to force — but the transaction may have logged index
     // records (steal/no-force: nothing to force at commit, durability is
     // the flushed commit record alone). Close its chain.
-    if (!options_.use_wal || wal_ == nullptr) return Status::OK();
     const Lsn chain = TxnChainHead(txn_id);
     if (chain == kNullLsn) return Status::OK();
     LogRecord commit;
@@ -792,37 +776,30 @@ Status Database::LogAndForce(TxnId txn_id,
     UnregisterLoggingTxn(txn_id);
     return es;
   }
-  Lsn commit_lsn = kNullLsn;
   std::vector<Lsn> page_lsns;
-  if (options_.use_wal) {
-    // LogPageSet unregisters the txn itself on failure (nothing forced).
-    BESS_ASSIGN_OR_RETURN(
-        commit_lsn,
-        LogPageSet(txn_id, pages, LogRecordType::kCommit, &page_lsns));
-  }
+  // LogPageSet unregisters the txn itself on failure (nothing forced).
+  BESS_ASSIGN_OR_RETURN(
+      const Lsn commit_lsn,
+      LogPageSet(txn_id, pages, LogRecordType::kCommit, &page_lsns));
   // no-steal / force policy; trailers carry the commit LSN as page LSN
-  Status fs = ForcePages(pages, commit_lsn,
-                         options_.use_wal ? &page_lsns : nullptr);
+  Status fs = ForcePages(pages, commit_lsn, page_lsns);
   if (!fs.ok()) {
     // Partially forced commit: the txn stays registered so the retention
     // floor keeps its records (restart undo must be able to revert the
     // pages that did land) until this process restarts.
     return fs;
   }
-  if (options_.use_wal) {
-    LogRecord end;
-    end.type = LogRecordType::kEnd;
-    end.txn = txn_id;
-    // Unthrottled like every post-admission record: the txn still pins the
-    // retention floor, so throttling here would wait on a checkpoint that
-    // cannot free space below the txn's own records.
-    Status es = wal_->AppendUnthrottled(end).status();
-    // Forced pages are in the DPT now; the DPT carries retention from here
-    // even if the End append failed.
-    UnregisterLoggingTxn(txn_id);
-    return es;
-  }
-  return Status::OK();
+  LogRecord end;
+  end.type = LogRecordType::kEnd;
+  end.txn = txn_id;
+  // Unthrottled like every post-admission record: the txn still pins the
+  // retention floor, so throttling here would wait on a checkpoint that
+  // cannot free space below the txn's own records.
+  Status es = wal_->AppendUnthrottled(end).status();
+  // Forced pages are in the DPT now; the DPT carries retention from here
+  // even if the End append failed.
+  UnregisterLoggingTxn(txn_id);
+  return es;
 }
 
 void Database::UnregisterLoggingTxn(TxnId txn_id) {
@@ -831,7 +808,7 @@ void Database::UnregisterLoggingTxn(TxnId txn_id) {
 }
 
 Status Database::AbortLoggedChain(TxnId txn_id, Lsn last_lsn) {
-  if (wal_ == nullptr || last_lsn == kNullLsn) return Status::OK();
+  if (last_lsn == kNullLsn) return Status::OK();
   // A transaction whose records reached the log but whose pages were never
   // forced. Plain kAbort+kEnd would be wrong: restart redo blindly repeats
   // history, so the chain's after-images would land on disk with no loser
@@ -900,9 +877,6 @@ void Database::InstallRepairHandler(StorageArea* area) {
   area->set_repair_handler(
       [this, area_id](PageId page, uint32_t expected_crc,
                       std::string* image) -> Status {
-        if (wal_ == nullptr) {
-          return Status::NotFound("no WAL to repair from");
-        }
         Status s = RepairPageFromLog(wal_.get(), options_.db_id, area_id,
                                      page, expected_crc, image);
         if (!s.ok()) BESS_COUNT("page.repair.miss");
@@ -968,7 +942,7 @@ Status Database::Commit(Txn* txn, CommitStats* out) {
     }
   }
 
-  const Lsn wal_before = wal_ != nullptr ? wal_->tail_lsn() : 0;
+  const Lsn wal_before = wal_->tail_lsn();
   Status s = LogAndForce(txn->id, pages);
   if (!s.ok()) {
     // Commit failed before any page hit the areas (WAL write/flush error) —
@@ -990,9 +964,7 @@ Status Database::Commit(Txn* txn, CommitStats* out) {
   BESS_COUNT("txn.commit");
   BESS_HIST("txn.commit.latency", dur_ns);
   if (out != nullptr) {
-    out->log_bytes =
-        wal_ != nullptr ? static_cast<uint64_t>(wal_->tail_lsn() - wal_before)
-                        : 0;
+    out->log_bytes = static_cast<uint64_t>(wal_->tail_lsn() - wal_before);
     out->pages_forced = static_cast<uint32_t>(pages.size());
     out->locks_held = static_cast<uint32_t>(locks_held);
     out->duration_ns = dur_ns;
@@ -1010,11 +982,9 @@ Status Database::Abort(Txn* txn) {
   // the same chain get before-image CLRs — redundant with the in-memory
   // revert below, but required for restart redo to net out. No-op for
   // transactions that never logged (the common abort: nothing committed).
-  if (wal_ != nullptr) {
-    const Lsn chain = TxnChainHead(txn->id);
-    if (chain != kNullLsn) (void)AbortLoggedChain(txn->id, chain);
-    UnregisterLoggingTxn(txn->id);
-  }
+  const Lsn chain = TxnChainHead(txn->id);
+  if (chain != kNullLsn) (void)AbortLoggedChain(txn->id, chain);
+  UnregisterLoggingTxn(txn->id);
   // Roll back in-memory state: segments this txn created/mutated
   // structurally are evicted (refault from disk); pages it dirtied are
   // restored from their undo images.
@@ -1050,9 +1020,6 @@ Status Database::Abort(Txn* txn) {
 // ---- secondary indexes (DESIGN.md §14) --------------------------------------
 
 Result<Lsn> Database::LogIndexRecord(TxnId txn_id, LogRecord&& rec) {
-  if (wal_ == nullptr) {
-    return Status::Internal("index logging without a WAL");
-  }
   Lsn prev = kNullLsn;
   bool fresh = false;
   {
@@ -1110,20 +1077,18 @@ Result<std::shared_ptr<BTreeIndex>> Database::IndexRuntime(uint16_t area_id) {
   }
   BTreeIndex::Options iopts;
   iopts.db = options_.db_id;
-  if (wal_ != nullptr) {
-    // Write-back coupling: a cleaned frame parks in the DPT until a
-    // checkpoint sync verifiably covers the write, and the WAL-before-data
-    // gate holds the write back until its LSN is durable.
-    iopts.on_cleaned = [this](uint64_t key, uint64_t rec_lsn) {
-      TouchDpt(key, rec_lsn != 0 ? rec_lsn : wal_->oldest_lsn());
-    };
-    iopts.ensure_wal_durable = [this](uint64_t lsn) {
-      return wal_->Flush(lsn);
-    };
-    iopts.append_smo = [this](const LogRecord& smo) {
-      return wal_->AppendUnthrottled(smo);
-    };
-  }
+  // Write-back coupling: a cleaned frame parks in the DPT until a
+  // checkpoint sync verifiably covers the write, and the WAL-before-data
+  // gate holds the write back until its LSN is durable.
+  iopts.on_cleaned = [this](uint64_t key, uint64_t rec_lsn) {
+    TouchDpt(key, rec_lsn != 0 ? rec_lsn : wal_->oldest_lsn());
+  };
+  iopts.ensure_wal_durable = [this](uint64_t lsn) {
+    return wal_->Flush(lsn);
+  };
+  iopts.append_smo = [this](const LogRecord& smo) {
+    return wal_->AppendUnthrottled(smo);
+  };
   BESS_ASSIGN_OR_RETURN(auto tree, BTreeIndex::Open(area, iopts));
   std::shared_ptr<BTreeIndex> shared(std::move(tree));
   std::lock_guard<std::mutex> guard(indexes_mutex_);
@@ -1154,7 +1119,8 @@ Result<Index> Database::CreateIndex(const std::string& name) {
     // Creation is made durable by the catalog save, not the WAL — which
     // means the save must be synced here: the direct catalog write has no
     // WAL image to redo from, and its trailer stamp only reaches the file
-    // on Sync (a commit-riding catalog save gets both from ForcePages).
+    // on Sync (a commit-riding catalog save is logged by LogAndForce, so
+    // redo covers it until a checkpoint syncs the area).
     BESS_RETURN_IF_ERROR(SaveCatalogLocked());
     StorageArea* a0 = AreaOrNull(0);
     if (a0 == nullptr) return Status::NotFound("no storage area 0");
@@ -1255,12 +1221,9 @@ Status Index::Put(Txn* txn, Slice key, Slice value) {
   bool autocommit = false;
   TxnId id = kNoTxn;
   BESS_RETURN_IF_ERROR(db_->IndexTxnPrologue(txn, &autocommit, &id));
-  BTreeIndex::RecordLogger logger;
-  if (db_->wal_ != nullptr) {
-    logger = [this, id](LogRecord&& rec) {
-      return db_->LogIndexRecord(id, std::move(rec));
-    };
-  }
+  BTreeIndex::RecordLogger logger = [this, id](LogRecord&& rec) {
+    return db_->LogIndexRecord(id, std::move(rec));
+  };
   Status s = impl_->Put(key, value, logger);
   return db_->FinishIndexWrite(txn, id, autocommit, s);
 }
@@ -1270,12 +1233,9 @@ Status Index::Delete(Txn* txn, Slice key, bool* existed) {
   bool autocommit = false;
   TxnId id = kNoTxn;
   BESS_RETURN_IF_ERROR(db_->IndexTxnPrologue(txn, &autocommit, &id));
-  BTreeIndex::RecordLogger logger;
-  if (db_->wal_ != nullptr) {
-    logger = [this, id](LogRecord&& rec) {
-      return db_->LogIndexRecord(id, std::move(rec));
-    };
-  }
+  BTreeIndex::RecordLogger logger = [this, id](LogRecord&& rec) {
+    return db_->LogIndexRecord(id, std::move(rec));
+  };
   bool was_there = false;
   Status s = impl_->Delete(key, &was_there, logger);
   if (existed != nullptr) *existed = was_there;
@@ -1285,22 +1245,20 @@ Status Index::Delete(Txn* txn, Slice key, bool* existed) {
 Status Database::FinishIndexWrite(Txn* txn, TxnId id, bool autocommit,
                                   Status op) {
   if (!op.ok()) {
-    if (wal_ != nullptr) {
-      if (autocommit) {
-        // Close whatever chain the failed op left behind (possibly none).
-        const Lsn chain = TxnChainHead(id);
-        if (chain != kNullLsn) (void)AbortLoggedChain(id, chain);
-        UnregisterLoggingTxn(id);
-      } else if (!txn->poisoned) {
-        // The tree and the txn's chain may disagree now; only Abort's
-        // logical undo reconciles them. Poison so commit refuses.
-        txn->poisoned = true;
-        txn->poison_status = op;
-      }
+    if (autocommit) {
+      // Close whatever chain the failed op left behind (possibly none).
+      const Lsn chain = TxnChainHead(id);
+      if (chain != kNullLsn) (void)AbortLoggedChain(id, chain);
+      UnregisterLoggingTxn(id);
+    } else if (!txn->poisoned) {
+      // The tree and the txn's chain may disagree now; only Abort's
+      // logical undo reconciles them. Poison so commit refuses.
+      txn->poisoned = true;
+      txn->poison_status = op;
     }
     return op;
   }
-  if (autocommit && wal_ != nullptr) {
+  if (autocommit) {
     // Micro-commit: kCommit + flush + kEnd on the chain (index pages are
     // steal/no-force — nothing to force, the flushed record is the commit).
     return LogAndForce(id, {});
@@ -1338,7 +1296,7 @@ Result<SegmentId> Database::NewObjectSegmentLocked(FileInfo* file,
                                                 options_.outbound_capacity);
   const uint32_t slotted_pages =
       static_cast<uint32_t>((slotted_bytes + kPageSize - 1) / kPageSize);
-  uint32_t data_pages = options_.data_segment_pages;
+  uint32_t data_pages = kDataSegmentPages;
   const uint32_t need = static_cast<uint32_t>(
       (min_data_bytes + kPageSize - 1) / kPageSize);
   if (need > data_pages) data_pages = need;
@@ -1406,7 +1364,7 @@ Result<Slot*> Database::CreateObject(uint16_t file_id, TypeIdx type,
         "objects above 64 KB must use the byte-range large-object class "
         "(bess::LargeObject)");
   }
-  const bool large = size >= options_.large_object_threshold;
+  const bool large = size >= kLargeObjectThreshold;
 
   // Find a home segment with room (slot + data space for small objects).
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -1779,9 +1737,6 @@ Status Database::CommitPageSet(const std::vector<PageImage>& pages) {
 
 Status Database::PreparePageSet(uint64_t gtid,
                                 const std::vector<PageImage>& pages) {
-  if (!options_.use_wal) {
-    return Status::NotSupported("2PC requires the WAL");
-  }
   // Phase 1: make the page set durable in the log together with a prepare
   // record. Nothing is forced yet; presumed abort on restart. The txn stays
   // in the logging-txn table until phase 2 — an in-doubt txn pins the log's
@@ -1815,7 +1770,7 @@ Status Database::CommitPrepared(uint64_t gtid) {
   commit.txn = gtid;
   BESS_ASSIGN_OR_RETURN(Lsn lsn, wal_->AppendUnthrottled(commit));
   BESS_RETURN_IF_ERROR(wal_->Flush(lsn));
-  BESS_RETURN_IF_ERROR(ForcePages(set.pages, lsn, &set.page_lsns));
+  BESS_RETURN_IF_ERROR(ForcePages(set.pages, lsn, set.page_lsns));
   LogRecord end;
   end.type = LogRecordType::kEnd;
   end.txn = gtid;
@@ -1876,7 +1831,7 @@ Result<Database::RemoteSegmentGrant> Database::GrantObjectSegment(
                                                 options_.outbound_capacity);
   const uint32_t slotted_pages =
       static_cast<uint32_t>((slotted_bytes + kPageSize - 1) / kPageSize);
-  uint32_t data_pages = options_.data_segment_pages;
+  uint32_t data_pages = kDataSegmentPages;
   const uint32_t need = static_cast<uint32_t>(
       (min_data_bytes + kPageSize - 1) / kPageSize);
   if (need > data_pages) data_pages = need;
@@ -1957,11 +1912,6 @@ Result<Oid> Database::GetRootOid(const std::string& name) {
 // ---- maintenance --------------------------------------------------------------
 
 Status Database::Checkpoint() {
-  if (!options_.use_wal || wal_ == nullptr) {
-    std::lock_guard<std::mutex> guard(meta_mutex_);
-    BESS_RETURN_IF_ERROR(SaveCatalogLocked());
-    return Sync();
-  }
   // Fuzzy checkpoint (paper §3 / ARIES): commits never quiesce. One at a
   // time; the log stays fully appendable throughout.
   std::lock_guard<std::mutex> cp_guard(checkpoint_mutex_);
@@ -2085,7 +2035,6 @@ Status Database::Checkpoint() {
 }
 
 void Database::StartCheckpointThread() {
-  if (!options_.use_wal || wal_ == nullptr) return;
   if (options_.checkpoint_log_bytes == 0 &&
       options_.wal_soft_limit_bytes == 0) {
     return;

@@ -50,7 +50,7 @@ struct Txn {
 /// What a commit cost. Filled by Database::Commit / RemoteClient::Commit and
 /// returned by TxnGuard::Commit as Result<CommitStats>.
 struct CommitStats {
-  uint64_t log_bytes = 0;    ///< WAL bytes appended (0 with use_wal=false)
+  uint64_t log_bytes = 0;    ///< WAL bytes appended by this commit
   uint32_t pages_forced = 0; ///< dirty pages forced at commit (no-steal/force)
   uint32_t locks_held = 0;   ///< locks released by this commit
   uint64_t duration_ns = 0;  ///< wall time inside Commit
@@ -100,16 +100,11 @@ class Database {
     uint16_t db_id = 1;
     uint16_t host_id = 1;
     bool create = false;        ///< create fresh (true) or open existing
-    bool use_wal = true;
     int lock_timeout_ms = kLockTimeoutMillis;
     SegmentMapper::Options mapper;
     // Geometry of newly created object segments.
     uint32_t slot_capacity = 120;
     uint16_t outbound_capacity = 64;
-    uint32_t data_segment_pages = kDefaultDataSegmentPages;
-    /// Objects at least this big (bytes) become transparent large objects
-    /// with their own disk segment. Must be <= kMaxTransparentObjectSize.
-    uint32_t large_object_threshold = kPageSize;
     /// WAL segment size (the log is a ring of recycled segment files).
     uint64_t wal_segment_bytes = 4ull << 20;
     /// Retained-log soft limit: beyond it commit appends throttle (and kick
@@ -122,14 +117,6 @@ class Database {
     /// been appended since the last one (checked by a background thread).
     /// 0 disables the periodic trigger; explicit Checkpoint() still works.
     uint64_t checkpoint_log_bytes = 16ull << 20;
-    /// fdatasync the data files inside every commit (strict force). Off by
-    /// default when the WAL is on: the flushed commit record + after-images
-    /// already make the commit durable (restart redo repeats history), so
-    /// the data files only need syncing before the log is truncated — which
-    /// Checkpoint/recovery do. Commits then wait on one fsync chain (the
-    /// group-committed WAL), not two (DESIGN.md §8). Ignored — treated as
-    /// true — when use_wal is false: forcing is then the only durability.
-    bool sync_on_commit = false;
   };
 
   /// Opens or creates a database. Runs ARIES restart recovery when an
@@ -369,12 +356,12 @@ class Database {
   Result<Lsn> LogPageSet(TxnId txn_id, const std::vector<PageImage>& pages,
                          LogRecordType final_record,
                          std::vector<Lsn>* page_lsns = nullptr);
-  /// Forces pages to their areas. With the WAL on, each forced page enters
-  /// the dirty-page table under its kPageWrite LSN (from `page_lsns`) —
-  /// "dirty" here means forced but not yet fsynced; the next checkpoint's
-  /// area sync retires the entries.
-  Status ForcePages(const std::vector<PageImage>& pages, Lsn lsn = kNullLsn,
-                    const std::vector<Lsn>* page_lsns = nullptr);
+  /// Forces pages to their areas, stamping `lsn` as their page LSN. Each
+  /// forced page enters the dirty-page table under its kPageWrite LSN
+  /// (from `page_lsns`) — "dirty" here means forced but not yet fsynced;
+  /// the next checkpoint's area sync retires the entries.
+  Status ForcePages(const std::vector<PageImage>& pages, Lsn lsn,
+                    const std::vector<Lsn>& page_lsns);
   void UnregisterLoggingTxn(TxnId txn_id);
   /// Closes an orphaned log chain (newest record `last_lsn`) with CLRs that
   /// restore every before-image, then kEnd, flushed. Used when a commit/

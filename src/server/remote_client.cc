@@ -12,6 +12,9 @@
 namespace bess {
 namespace {
 
+/// Initial backoff (ms) before a transport retry; doubled each attempt.
+constexpr useconds_t kRpcBackoffMs = 5;
+
 /// Per-opcode RPC counters for the handful of opcodes that dominate the
 /// paper's traffic; the rest pool under rpc.other.
 void CountRpcOp(obs::Scope& scope, uint16_t type) {
@@ -436,8 +439,7 @@ Status RemoteClient::Call(Peer& peer, uint16_t type,
     if (need_reconnect) {
       if (++transport_attempts > options_.max_rpc_retries) return last;
       BESS_COUNT_IN(scope_, "rpc.retry");
-      ::usleep(static_cast<useconds_t>(options_.rpc_backoff_ms) * 1000u
-               << (transport_attempts - 1));
+      ::usleep(kRpcBackoffMs * 1000u << (transport_attempts - 1));
       Status rc = Reconnect(peer, observed_gen);
       if (!rc.ok()) {
         last = rc;

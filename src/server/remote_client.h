@@ -96,10 +96,9 @@ class RemoteClient : public AccessObserver {
     uint32_t simulated_latency_us = 0;
     int lock_timeout_ms = kLockTimeoutMillis;
     /// Transport-failure resilience: how many times one RPC is retried
-    /// (reconnecting first) before the error surfaces, and the initial
-    /// backoff between attempts (doubled each retry).
+    /// (reconnecting first, with a backoff doubling from 5 ms) before the
+    /// error surfaces.
     int max_rpc_retries = 3;
-    int rpc_backoff_ms = 5;
     /// Contention resilience: a lock RPC answered with kDeadlock (the server's
     /// wait timed out under the callback algorithm) is retried this many
     /// times with exponential backoff + jitter before the error surfaces.

@@ -27,8 +27,9 @@ inline constexpr size_t kMaxTransparentObjectSize = 64 * 1024;
 /// Maximum number of slots in one slotted segment.
 inline constexpr uint32_t kMaxSlotsPerSegment = 4096;
 
-/// Default number of pages in a freshly created data segment.
-inline constexpr uint32_t kDefaultDataSegmentPages = 8;
+/// Pages in a freshly created data segment (more when the first object
+/// needs them).
+inline constexpr uint32_t kDataSegmentPages = 8;
 
 /// Default lock-wait timeout (ms). The paper uses timeouts for (distributed)
 /// deadlock detection (§3).

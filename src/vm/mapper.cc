@@ -12,6 +12,11 @@ namespace bess {
 namespace {
 
 constexpr size_t kSlottedReserve = kMaxSlottedPages * kPageSize;
+/// Reservable address space for all mapped segments (64 GiB).
+constexpr size_t kArenaBytes = 1ull << 36;
+/// Data-segment reservations get this growth headroom factor so resizes
+/// stay in place.
+constexpr size_t kDataHeadroom = 4;
 
 size_t PagesFor(size_t bytes) { return (bytes + kPageSize - 1) / kPageSize; }
 
@@ -20,7 +25,7 @@ size_t PagesFor(size_t bytes) { return (bytes + kPageSize - 1) / kPageSize; }
 SegmentMapper::SegmentMapper(SegmentStore* store, TypeTable* types,
                              Options opts)
     : store_(store), types_(types), opts_(opts) {
-  auto arena = AddressArena::Create(opts_.arena_bytes);
+  auto arena = AddressArena::Create(kArenaBytes);
   if (!arena.ok()) {
     BESS_ERROR("mapper arena reservation failed: "
                << arena.status().ToString());
@@ -83,8 +88,8 @@ Result<SegmentMapper::MappedSegment*> SegmentMapper::EnsureReservedLocked(
 Status SegmentMapper::ReserveDataRangeLocked(MappedSegment* seg,
                                              uint32_t data_pages) {
   if (data_pages == 0) return Status::OK();
-  size_t want = static_cast<size_t>(data_pages) * kPageSize;
-  want *= opts_.data_headroom > 0 ? opts_.data_headroom : 1;
+  const size_t want =
+      static_cast<size_t>(data_pages) * kPageSize * kDataHeadroom;
   BESS_ASSIGN_OR_RETURN(seg->data_base, arena_.Acquire(want));
   seg->data_reserved = want;
   BESS_GAUGE_ADD_IN(scope_, "vm.reserved.bytes", want);
@@ -729,10 +734,8 @@ Status SegmentMapper::RelocateData(SegmentId id, uint16_t new_area,
   if (new_bytes > seg->data_reserved) {
     // Outgrew the reservation: move to a larger range and adjust DPs by the
     // base delta (paper: "two arithmetic operations").
-    BESS_ASSIGN_OR_RETURN(void* new_base, arena_.Acquire(
-        new_bytes * (opts_.data_headroom > 0 ? opts_.data_headroom : 1)));
-    const size_t new_reserved =
-        new_bytes * (opts_.data_headroom > 0 ? opts_.data_headroom : 1);
+    const size_t new_reserved = new_bytes * kDataHeadroom;
+    BESS_ASSIGN_OR_RETURN(void* new_base, arena_.Acquire(new_reserved));
     BESS_RETURN_IF_ERROR(
         vmem::CommitAnonymous(new_base, new_bytes, vmem::kReadWrite));
     memcpy(new_base, seg->data_base, std::min(old_bytes, new_bytes));

@@ -74,16 +74,12 @@ struct PageImage {
 class SegmentMapper : public FaultRangeOwner {
  public:
   struct Options {
-    size_t arena_bytes = 1ull << 36;  ///< 64 GiB of reservable addresses
     bool protect_slotted = true;      ///< corruption prevention (§2.2)
     bool detect_writes = true;        ///< hardware update detection (§2.3)
     /// Baseline for bench_reserve: fetch referenced slotted segments (and
     /// hence reserve their data ranges) eagerly at swizzle time, like the
     /// greedy schemes of [19, 30, 34].
     bool greedy = false;
-    /// Data-segment reservations get this growth headroom factor so resizes
-    /// stay in place.
-    uint32_t data_headroom = 4;
   };
 
   SegmentMapper(SegmentStore* store, TypeTable* types, Options opts);

@@ -1,7 +1,8 @@
 // Tests for the frame-lifecycle core (cache/frame_table.h): state-machine
 // legality (the PR 4 protected-frame invariant as a structural rule),
 // pin/evict races, replacement-policy quality, WAL-before-data ordering,
-// bgwriter/prefetch behaviour, and eviction under injected fault schedules.
+// bgwriter and scan-staging behaviour, and eviction under injected fault
+// schedules.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -480,88 +481,6 @@ TEST(FrameTableTest, BgwriterCleansAheadSoEvictionsSkipSyncWriteback) {
   EXPECT_EQ(store.pages_fetched(), 16u);
 }
 
-// ---- prefetch ---------------------------------------------------------------
-
-TEST(FrameTableTest, SequentialMissesTriggerReadAheadAndScoreHits) {
-  InMemoryStore store;
-  SeedStore(&store, 64);
-  HeapPlacement placement(16);
-  StorePageIo io(&store);
-  FrameTable::Options opts;
-  opts.frame_count = 16;
-  opts.enable_prefetch = true;
-  opts.prefetch_trigger = 3;
-  opts.prefetch_window = 4;
-  FrameTable table(opts, &placement, &io);
-  ASSERT_TRUE(table.Init().ok());
-
-  // Establish a sequential run, then give the background thread time to
-  // stage the read-ahead window.
-  for (uint32_t p = 0; p < 3; ++p) {
-    ASSERT_TRUE(table.Fix(Key(p), false).ok());
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().counter("cache.prefetch.issued") >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_GE(table.stats().counter("cache.prefetch.issued"), 1u)
-      << "read-ahead never issued";
-
-  // The staged pages are already resident: demanding them scores prefetch
-  // hits without demand misses. (Total store fetches may still grow — each
-  // hit re-feeds the detector, which keeps the read-ahead pipeline running.)
-  const uint64_t misses_before = table.stats().counter("cache.miss");
-  uint32_t p = 3;
-  for (; p < 3 + opts.prefetch_window; ++p) {
-    if (!table.Contains(Key(p))) break;
-    auto r = table.Fix(Key(p), false);
-    ASSERT_TRUE(r.ok());
-    uint32_t got = 0;
-    memcpy(&got, r->data, sizeof(got));
-    EXPECT_EQ(got, p) << "prefetched frame holds wrong bytes";
-  }
-  EXPECT_GT(p, 3u) << "no prefetched page was resident";
-  const Stats stats = table.stats();
-  EXPECT_GE(stats.counter("cache.prefetch.hits"), 1u);
-  EXPECT_EQ(stats.counter("cache.miss"), misses_before);
-}
-
-TEST(FrameTableTest, WastedPrefetchesAreCountedOnEviction) {
-  InMemoryStore store;
-  SeedStore(&store, 128);
-  HeapPlacement placement(8);
-  StorePageIo io(&store);
-  FrameTable::Options opts;
-  opts.frame_count = 8;
-  opts.enable_prefetch = true;
-  opts.prefetch_trigger = 2;
-  opts.prefetch_window = 4;
-  FrameTable table(opts, &placement, &io);
-  ASSERT_TRUE(table.Init().ok());
-
-  ASSERT_TRUE(table.Fix(Key(0), false).ok());
-  ASSERT_TRUE(table.Fix(Key(1), false).ok());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().counter("cache.prefetch.issued") >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_GE(table.stats().counter("cache.prefetch.issued"), 1u);
-
-  // Abandon the run: churn unrelated pages (stride 3 so the detector never
-  // sees a new sequence) until the speculative frames recycle. Undemanded
-  // loads must be charged as wasted, never as hits.
-  for (uint32_t p = 40; p < 100; p += 3) {
-    ASSERT_TRUE(table.Fix(Key(p), false).ok());
-  }
-  const Stats stats = table.stats();
-  EXPECT_GE(stats.counter("cache.prefetch.wasted"), 1u);
-  EXPECT_EQ(stats.counter("cache.prefetch.hits"), 0u);
-}
-
 // ---- write-back exclusivity -------------------------------------------------
 
 // A frame re-dirtied while its write-back is in flight must not enter a
@@ -676,9 +595,25 @@ TEST(FrameTableTest, InstallFailureDoesNotLeakTheFrame) {
 
 // ---- shared-mode restrictions -----------------------------------------------
 
-// Prefetch installs directory entries from the background thread without
-// the cross-process serialization (SMT latch) the miss path uses, so it is
-// rejected outright for tables with an external directory.
+// Scan staging claims frames and installs directory entries under only this
+// process's table mutex, without the cross-process serialization (SMT
+// latch) the shared miss path uses, so an async backend is rejected
+// outright for tables with an external directory.
+TEST(FrameTableTest, AsyncIoIsRejectedForCrossProcessDirectories) {
+  InMemoryStore store;
+  HeapPlacement placement(4);
+  StorePageIo io(&store);
+  AsyncPageIo aio_io(&io, 1);
+  FlakyDirectory dir;
+  FrameTable::Options opts;
+  opts.frame_count = 4;
+  opts.directory = &dir;
+  opts.async_io = &aio_io;
+  FrameTable table(opts, &placement, &io);
+  const Status s = table.Init();
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
 // ---- pressure-wait wakeup (missed-wakeup regression) ------------------------
 
 // The urgent-mode pressure wait used to be a bare timed sleep: if the last
@@ -875,10 +810,11 @@ TEST(FrameTableTest, AsyncBgwriterBatchesPayOneWalGatePerBatch) {
   table.Stop();
 }
 
-// cache.prefetch.wasted must charge a speculative frame exactly once even
-// when its completion is reordered behind later ones: issued loads are
-// eventually scored as exactly one of {hit, wasted, still resident}.
-TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
+// cache.prefetch.wasted must charge a scan-staged frame exactly once even
+// when completions are reordered behind later ones: a consumer that stops
+// early leaves staged-but-unconsumed frames behind, and every issued load is
+// eventually scored as exactly one of {hit, wasted, still flagged}.
+TEST(FrameTableTest, ScanStagedWasteCountedExactlyOnceUnderReorder) {
   InMemoryStore store;
   SeedStore(&store, 256);
   StorePageIo io(&store);
@@ -887,9 +823,6 @@ TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
   HeapPlacement placement(8);
   FrameTable::Options opts;
   opts.frame_count = 8;
-  opts.enable_prefetch = true;
-  opts.prefetch_trigger = 2;
-  opts.prefetch_window = 4;
   opts.async_io = &aio_io;
   opts.async_queue_depth = 4;
   FrameTable table(opts, &placement, &io);
@@ -901,52 +834,42 @@ TEST(FrameTableTest, PrefetchWastedCountedExactlyOnceUnderReorder) {
   reorder.seed = 42;
   fault::FaultRegistry::Instance().Arm("aio.reorder", reorder);
 
-  ASSERT_TRUE(table.Fix(Key(0), false).ok());
-  ASSERT_TRUE(table.Fix(Key(1), false).ok());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (table.stats().counter("cache.prefetch.issued") >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  // Stop after a few pages: the reads staged ahead of the consumer land in
+  // frames nobody consumes.
+  uint32_t consumed = 0;
+  const Status st =
+      table.ScanRange(Key(0), 64, [&](uint64_t key, const void* page) {
+        uint32_t got = 0;
+        memcpy(&got, page, sizeof(got));
+        EXPECT_EQ(got, static_cast<uint32_t>(key - Key(0)));
+        return ++consumed < 5 ? Status::OK() : Status::Aborted("enough");
+      });
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_EQ(consumed, 5u);
   ASSERT_GE(table.stats().counter("cache.prefetch.issued"), 1u)
-      << "read-ahead never issued";
+      << "scan never staged a read";
 
-  // Abandon the run and churn unrelated pages so the speculative frames
-  // recycle while reordered completions are still in flight.
-  for (uint32_t p = 40; p < 130; p += 3) {
+  // Churn unrelated pages so the staged frames recycle through the demand
+  // path's evictions.
+  for (uint32_t p = 100; p < 190; p += 3) {
     ASSERT_TRUE(table.Fix(Key(p), false).ok());
   }
   fault::FaultRegistry::Instance().DisarmAll();
   table.Stop();
 
-  // No frame may be stranded mid-load, and the prefetch ledger must balance
-  // exactly: every issued load is a hit, a waste, or still resident — a
-  // double-counted or leaked waste breaks the identity.
-  uint32_t still_resident = 0;
+  // No frame may be stranded mid-load, and the ledger must balance exactly:
+  // a double-counted or leaked waste breaks the identity.
+  uint32_t still_flagged = 0;
   for (uint32_t f = 0; f < opts.frame_count; ++f) {
     EXPECT_NE(table.meta(f)->State(), FrameState::kLoading)
         << "frame " << f << " leaked in kLoading after Stop";
-    if (table.meta(f)->prefetched.load() != 0) ++still_resident;
+    if (table.meta(f)->prefetched.load() != 0) ++still_flagged;
   }
   const Stats stats = table.stats();
+  EXPECT_GE(stats.counter("cache.prefetch.wasted"), 1u);
   EXPECT_EQ(stats.counter("cache.prefetch.issued"),
             stats.counter("cache.prefetch.hits") +
-                stats.counter("cache.prefetch.wasted") + still_resident);
-}
-
-TEST(FrameTableTest, PrefetchIsRejectedForCrossProcessDirectories) {
-  InMemoryStore store;
-  HeapPlacement placement(4);
-  StorePageIo io(&store);
-  FlakyDirectory dir;
-  FrameTable::Options opts;
-  opts.frame_count = 4;
-  opts.directory = &dir;
-  opts.enable_prefetch = true;
-  FrameTable table(opts, &placement, &io);
-  const Status s = table.Init();
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+                stats.counter("cache.prefetch.wasted") + still_flagged);
 }
 
 }  // namespace
