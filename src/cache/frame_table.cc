@@ -423,7 +423,6 @@ Result<FrameTable::FixResult> FrameTable::Fix(uint64_t key, bool for_write,
   BESS_ASSIGN_OR_RETURN(const uint32_t f, AcquireFrameLocked(lk));
   FrameMeta& m = meta_[f];
   m.page_key.store(key, std::memory_order_release);
-  m.prefetched.store(0, std::memory_order_relaxed);
   SetState(f, FrameState::kLoading);
   // Install/BeginLoad/fetch failures all unwind through the cleanup below:
   // a frame left kLoading is never evictable and would leak permanently.
@@ -564,7 +563,6 @@ Status FrameTable::Put(uint64_t key, const void* bytes) {
   BESS_ASSIGN_OR_RETURN(const uint32_t nf, AcquireFrameLocked(lk));
   FrameMeta& m = meta_[nf];
   m.page_key.store(key, std::memory_order_release);
-  m.prefetched.store(0, std::memory_order_relaxed);
   BESS_RETURN_IF_ERROR(placement_->BeginLoad(nf));
   memcpy(placement_->frame_data(nf), bytes, kPageSize);
   SetState(nf, FrameState::kClean);

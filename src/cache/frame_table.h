@@ -88,7 +88,8 @@ struct FrameMeta {
   std::atomic<uint64_t> rec_lsn{0};
   std::atomic<uint32_t> pins{0};        ///< pin / cross-process binding count
   std::atomic<uint8_t> state{0};        ///< FrameState
-  std::atomic<uint8_t> prefetched{0};   ///< scan-staged, not yet consumed
+  std::atomic<uint8_t> prefetched{0};   ///< scan-staged, not yet consumed;
+                                        ///< always 0 on a kFree frame
   /// Write-back ownership. Claimed (CAS 0 → 1) before any state change by
   /// the one flusher whose I/O is pending — across threads AND processes —
   /// so a frame re-dirtied mid-write (kWriting → kDirty) cannot enter a

@@ -113,8 +113,7 @@ class MsgSocket {
   Status TryRecv(Message* out, RecvContinuation* cont);
 
   /// Switches O_NONBLOCK. The blocking wrappers work in either mode (they
-  /// poll on WouldBlock), so reactor-owned sockets can stay non-blocking
-  /// even when handed to blocking callers (e.g. the callback channel).
+  /// poll on WouldBlock).
   Status SetNonBlocking(bool on);
 
   // ---- blocking wrappers ---------------------------------------------------

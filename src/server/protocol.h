@@ -1,9 +1,8 @@
 // Wire protocol between BeSS clients, node servers, and servers (paper §3).
 //
-// Each peer connection is a pair of Unix-domain sockets: the *main* channel
-// carries client-initiated request/response traffic; the *callback* channel
-// carries server-initiated callback-locking requests (the server sends a
-// callback and reads the reply on that channel, one at a time).
+// Each peer session is one Unix-domain socket. It carries client requests
+// and their replies (matched by req_id) and, if the client's Hello declared
+// it callable, server callbacks that the client answers when it gets to.
 #ifndef BESS_SERVER_PROTOCOL_H_
 #define BESS_SERVER_PROTOCOL_H_
 
@@ -21,9 +20,8 @@ namespace bess {
 
 enum MsgType : uint16_t {
   // Session management
-  kMsgHello = 1,        ///< {u64 session_hint} -> {u64 session_id}
-  kMsgHelloCallback,    ///< {u64 session_id} binds a callback channel
-  kMsgGoodbye,
+  kMsgHello = 1,        ///< {[u8 callable]} -> {u64 session_id}
+  kMsgGoodbye = 3,      ///< value 2 is retired (enum order is the wire)
 
   // Data service
   kMsgFetchSlotted,     ///< {u64 seg} -> {u32 pages, bytes}
@@ -56,10 +54,10 @@ enum MsgType : uint16_t {
   // Observability
   kMsgGetStats,         ///< {} -> encoded bess::Stats snapshot of the server
 
-  // Server -> client (callback channel)
-  kMsgCallback,         ///< {u64 key, u8 wanted_mode} -> reply below
-  kMsgCallbackReleased, ///< client gave the lock back
-  kMsgCallbackDenied,   ///< lock is in use by an active transaction
+  // Server -> client callback, on the session's own socket (req_id 0)
+  kMsgCallback,         ///< {u64 key, u8 wanted_mode} -> answer below
+  kMsgCallbackReleased, ///< {u64 key} client gave the lock back
+  kMsgCallbackDenied,   ///< {u64 key} lock is in use by an active txn
 
   // Generic replies
   kMsgOk,               ///< optional payload per request

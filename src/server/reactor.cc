@@ -146,15 +146,6 @@ Reactor::ConnId Reactor::AddConnection(MsgSocket sock, ConnHandler handler) {
   return id;
 }
 
-MsgSocket Reactor::Detach(ConnId id) {
-  auto it = conns_.find(id);
-  if (it == conns_.end()) return MsgSocket();
-  MsgSocket sock = std::move(it->second->sock);
-  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, sock.fd(), nullptr);
-  conns_.erase(it);
-  return sock;
-}
-
 void Reactor::Send(ConnId id, uint16_t type, uint64_t req_id,
                    std::string payload) {
   Post([this, id, type, req_id, payload = std::move(payload)]() {
@@ -291,7 +282,7 @@ void Reactor::MarkActivity(Conn* c, uint64_t now_ns) {
 
 void Reactor::HandleReadable(ConnId id) {
   // Edge-triggered: drain until WouldBlock. The conn is re-looked-up every
-  // iteration because on_message may Detach or CloseConn it.
+  // iteration because on_message may close it.
   for (;;) {
     Conn* c = FindConn(id);
     if (c == nullptr) return;

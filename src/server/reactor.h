@@ -6,15 +6,18 @@
 //
 // Threading rules (the whole contract — see DESIGN.md §11 for rationale):
 //   - The event thread exclusively owns connection state (epoll membership,
-//     continuations, callbacks). AddConnection/Detach may only be called on
-//     it (i.e. from inside a reactor callback).
+//     continuations, callbacks). AddConnection may only be called on it
+//     (i.e. from inside a reactor callback). Every connection stays in the
+//     loop until it closes; nothing reads a connection outside it.
 //   - on_message / on_close / on_accept run on the event thread and must
 //     never block: hand real work to Submit() and return.
 //   - Send / CloseConn / Post are safe from any thread; they enqueue an
 //     operation the event thread drains on its next wakeup (one eventfd
 //     kick per batch — replies queued while the loop is busy coalesce).
 //   - Submit() runs a closure on the worker pool; blocking work (fsync,
-//     page I/O, lock waits, callback round trips) belongs there.
+//     page I/O, bounded lock-wait rounds) belongs there. A server-initiated
+//     exchange such as a lock callback is a Send whose answer arrives later
+//     through on_message; no worker waits for it.
 //
 // Overload protection (DESIGN.md §12): each connection's outbound queue is
 // byte-capped — a slow consumer is first throttled (the reactor stops
@@ -73,12 +76,11 @@ class Reactor {
 
   /// Per-connection callbacks, invoked on the event thread.
   struct ConnHandler {
-    /// One complete message arrived. May call Detach/CloseConn for its own
+    /// One complete message arrived. May call CloseConn for its own
     /// connection. Must not block.
     std::function<void(ConnId, Message)> on_message;
     /// The connection died (peer close, transport error, slow-consumer or
-    /// idle reaping, or reactor Stop). Fires at most once, never after
-    /// Detach.
+    /// idle reaping, or reactor Stop). Fires at most once.
     std::function<void(ConnId)> on_close;
   };
 
@@ -105,12 +107,6 @@ class Reactor {
   /// Takes ownership of `sock` (switched to non-blocking) and watches it.
   /// Event thread only.
   ConnId AddConnection(MsgSocket sock, ConnHandler handler);
-
-  /// Removes the connection from the loop and returns its socket (still
-  /// non-blocking; the blocking wrappers poll, so it can be used as a
-  /// plain blocking channel). on_close will not fire. Event thread only.
-  /// Returns an invalid socket if the id is already gone.
-  MsgSocket Detach(ConnId id);
 
   /// Queues one framed message for `id` and flushes opportunistically.
   /// Any thread. Messages from one thread keep their order; the frame goes

@@ -129,7 +129,6 @@ Result<std::unique_ptr<RemoteClient>> RemoteClient::Connect(
                         client->OpenSession(client->primary_));
   client->session_id_ = session;
   client->StartReader(&client->primary_);
-  BESS_RETURN_IF_ERROR(client->BindCallbackChannel(session));
 
   // The object layer serves this client's own application; a client that
   // answers callbacks through a policy caches nothing itself.
@@ -141,7 +140,6 @@ Result<std::unique_ptr<RemoteClient>> RemoteClient::Connect(
     BESS_RETURN_IF_ERROR(client->SyncTypes());
   }
 
-  client->running_.store(true);
   client->callback_thread_ = std::thread([c = client.get()] {
     c->CallbackLoop();
   });
@@ -149,13 +147,15 @@ Result<std::unique_ptr<RemoteClient>> RemoteClient::Connect(
 }
 
 RemoteClient::~RemoteClient() {
-  running_.store(false);
+  {
+    std::lock_guard<std::mutex> guard(cb_mu_);
+    cb_stop_ = true;
+  }
+  cb_cv_.notify_all();
+  if (callback_thread_.joinable()) callback_thread_.join();
   (void)primary_.main.Send(kMsgGoodbye, "");
   StopReader(&primary_);
   for (auto& peer : extra_peers_) StopReader(peer.get());
-  callback_sock_.Shutdown();
-  if (callback_thread_.joinable()) callback_thread_.join();
-  callback_sock_.Close();
   mapper_.reset();
 }
 
@@ -163,20 +163,15 @@ Result<uint64_t> RemoteClient::OpenSession(Peer& peer) {
   BESS_ASSIGN_OR_RETURN(peer.main, MsgSocket::Connect(peer.path));
   peer.main.set_simulated_latency_us(options_.simulated_latency_us);
   // The hello handshake is the one blocking round trip on the main socket;
-  // once the reader thread starts, all receives go through it.
-  BESS_RETURN_IF_ERROR(peer.main.Send(kMsgHello, ""));
+  // once the reader thread starts, all receives go through it. Only the
+  // primary answers callbacks; a 2PC peer's session is never called back.
+  BESS_RETURN_IF_ERROR(
+      peer.main.Send(kMsgHello, &peer == &primary_ ? "\x01" : ""));
   BESS_ASSIGN_OR_RETURN(Message hello, peer.main.Recv());
   if (hello.type != kMsgOk || hello.payload.size() != 8) {
     return Status::Protocol("bad hello reply");
   }
   return DecodeFixed64(hello.payload.data());
-}
-
-Status RemoteClient::BindCallbackChannel(uint64_t session) {
-  BESS_ASSIGN_OR_RETURN(callback_sock_, MsgSocket::Connect(primary_.path));
-  std::string bind;
-  PutFixed64(&bind, session);
-  return callback_sock_.Send(kMsgHelloCallback, bind);
 }
 
 // ---- pipelined RPC core -------------------------------------------------------
@@ -237,6 +232,19 @@ void RemoteClient::ReaderLoop(Peer* peer, uint64_t generation) {
       // layer decides per-opcode whether a replay is safe.
       FailAllPending(peer, r.status());
       return;
+    }
+    if (r->type == kMsgCallback) {
+      // Answered on the callback thread, so this reader keeps delivering
+      // replies meanwhile — including the one a faulting thread that holds
+      // the mapper waits for.
+      if (peer == &primary_ && r->payload.size() >= 9) {
+        std::lock_guard<std::mutex> guard(cb_mu_);
+        cb_queue_.push_back(
+            {generation, DecodeFixed64(r->payload.data()),
+             static_cast<LockMode>(r->payload[8])});
+        cb_cv_.notify_one();
+      }
+      continue;
     }
     std::shared_ptr<ReplyFuture::State> st;
     {
@@ -537,18 +545,7 @@ Status RemoteClient::Reconnect(Peer& peer, uint64_t observed_generation) {
     peer.main.Close();
     BESS_ASSIGN_OR_RETURN(const uint64_t new_session, OpenSession(peer));
 
-    if (&peer == &primary_) {
-      session_id_.store(new_session);
-      // Rebind the callback channel: the old one belonged to the dead
-      // session.
-      callback_sock_.Shutdown();
-      if (callback_thread_.joinable()) callback_thread_.join();
-      callback_sock_.Close();
-      BESS_RETURN_IF_ERROR(BindCallbackChannel(new_session));
-      if (running_.load()) {
-        callback_thread_ = std::thread([this] { CallbackLoop(); });
-      }
-    }
+    if (&peer == &primary_) session_id_.store(new_session);
   }
   StartReader(&peer);
 
@@ -669,20 +666,34 @@ Status RemoteClient::OnPageWrite(SegmentId id, PageAddr page) {
 // ---- callbacks ----------------------------------------------------------------
 
 void RemoteClient::CallbackLoop() {
-  while (running_.load()) {
-    // Poll-first (negative timeout = wait forever): a parked callback loop
-    // only touches the "sock.recv" fault point once a callback (or a close)
-    // is actually pending, so it cannot eat triggers a test aimed at the
-    // main channel's replies.
-    auto msg = callback_sock_.RecvTimeout(-1);
-    if (!msg.ok()) break;
-    if (msg->type != kMsgCallback || msg->payload.size() < 9) continue;
-    const uint64_t key = DecodeFixed64(msg->payload.data());
-    const LockMode wanted = static_cast<LockMode>(msg->payload[8]);
-    Status s = callbacks_ != nullptr ? callbacks_->OnCallback(key, wanted)
-                                     : HandleCallback(key, wanted);
-    (void)callback_sock_.Send(
-        s.ok() ? kMsgCallbackReleased : kMsgCallbackDenied, "");
+  // A callback from a session a reconnect replaced is dropped unanswered:
+  // the server already released that session's locks, and the new session
+  // never asked.
+  auto current = [this](uint64_t generation) {
+    std::lock_guard<std::mutex> guard(primary_.p_mu);
+    return primary_.generation == generation;
+  };
+  for (;;) {
+    QueuedCallback cb;
+    {
+      std::unique_lock<std::mutex> lock(cb_mu_);
+      cb_cv_.wait(lock, [this] { return cb_stop_ || !cb_queue_.empty(); });
+      if (cb_stop_) return;
+      cb = cb_queue_.front();
+      cb_queue_.pop_front();
+    }
+    if (!current(cb.generation)) continue;
+    const Status s = callbacks_ != nullptr
+                         ? callbacks_->OnCallback(cb.key, cb.wanted)
+                         : HandleCallback(cb.key, cb.wanted);
+    std::string answer;
+    PutFixed64(&answer, cb.key);
+    // Reconnect swaps the socket under send_mu after bumping the generation,
+    // so checking under send_mu keeps the answer on the session that asked.
+    std::lock_guard<std::mutex> guard(primary_.send_mu);
+    if (!current(cb.generation)) continue;
+    (void)primary_.main.Send(
+        s.ok() ? kMsgCallbackReleased : kMsgCallbackDenied, answer);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -218,7 +219,8 @@ class RemoteClient : public AccessObserver {
 
   /// One server connection. Requests are framed onto the socket under
   /// `send_mu` (many threads may pipeline concurrently); a per-peer reader
-  /// thread demultiplexes replies back to their futures by request id.
+  /// thread demultiplexes replies back to their futures by request id and
+  /// hands the server's callbacks to the callback thread.
   struct Peer {
     MsgSocket main;
     std::mutex send_mu;  ///< serializes frame writes onto the socket
@@ -250,11 +252,10 @@ class RemoteClient : public AccessObserver {
 
   RemoteClient() = default;
 
-  /// Connects `peer.main` to `peer.path` and says hello; returns the new
-  /// session id. The reader thread is not started.
+  /// Connects `peer.main` to `peer.path` and says hello, declaring the
+  /// primary's session callable; returns the new session id. The reader
+  /// thread is not started.
   Result<uint64_t> OpenSession(Peer& peer);
-  /// Opens the primary's callback channel and binds it to `session`.
-  Status BindCallbackChannel(uint64_t session);
   Status Call(Peer& peer, uint16_t type, const std::string& payload,
               Message* reply);
   ReplyFuture CallAsyncOn(Peer& peer, uint16_t type,
@@ -282,14 +283,16 @@ class RemoteClient : public AccessObserver {
   /// owns completing its future (the reader did not get there first).
   bool Withdraw(Peer& peer, uint64_t req_id);
   /// Re-establishes a failed peer connection: fresh session (the server has
-  /// already — or will — release the dead session's locks), rebound callback
-  /// channel for the primary, client lock/data caches invalidated, any
-  /// active transaction poisoned (its 2PL guarantee is gone). A no-op if
+  /// already — or will — release the dead session's locks), client lock/data
+  /// caches invalidated, any active transaction poisoned (its 2PL guarantee
+  /// is gone), callbacks still queued from the old session dropped. A no-op if
   /// `observed_generation` is stale (a concurrent caller reconnected first).
   Status Reconnect(Peer& peer, uint64_t observed_generation);
   Peer& PeerFor(uint16_t db_id);
   Status EnsureLock(uint64_t key, LockMode mode, SegmentId home);
   Status SyncTypes();
+  /// The callback thread: answers the primary's queued callbacks in order
+  /// on the primary socket, dropping those of a replaced session.
   void CallbackLoop();
   Status HandleCallback(uint64_t key, LockMode wanted);
   Result<SegmentId> ActiveSegment(uint16_t file_id, uint32_t min_bytes);
@@ -301,9 +304,18 @@ class RemoteClient : public AccessObserver {
   LockCallbackPolicy* callbacks_ = nullptr;
   Peer primary_;
   std::vector<std::unique_ptr<Peer>> extra_peers_;
-  MsgSocket callback_sock_;
+  /// A kMsgCallback the primary's reader queued, tagged with the
+  /// connection generation (session) it arrived on.
+  struct QueuedCallback {
+    uint64_t generation;
+    uint64_t key;
+    LockMode wanted;
+  };
+  std::mutex cb_mu_;  ///< guards cb_queue_ and cb_stop_
+  std::condition_variable cb_cv_;
+  std::deque<QueuedCallback> cb_queue_;
+  bool cb_stop_ = false;
   std::thread callback_thread_;
-  std::atomic<bool> running_{false};
   std::atomic<uint64_t> session_id_{0};
   std::atomic<uint64_t> next_req_id_{1};
 

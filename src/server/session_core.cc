@@ -58,24 +58,16 @@ void SessionCore::Stop() {
 }
 
 void SessionCore::CloseAllSessions() {
-  // Snapshot first: a callback round trip can hold a session's
-  // callback_mutex for its whole timeout, and the event thread takes the
-  // shard mutexes, so the two are never held together here.
+  // Snapshot first: the event thread takes the shard mutexes too.
   std::vector<std::shared_ptr<Session>> sessions;
   for (SessionShard& shard : session_shards_) {
     std::lock_guard<std::mutex> guard(shard.mu);
     for (auto& [id, session] : shard.map) sessions.push_back(session);
   }
   // Mark every session defunct first: workers parked in lock-wait rounds
-  // abort within one capped round instead of riding out their timeouts, and
-  // callback round trips fail fast once their sockets are shut.
+  // abort within one capped round instead of riding out their timeouts.
   for (const std::shared_ptr<Session>& session : sessions) {
     session->defunct.store(true);
-    {
-      // A late kMsgHelloCallback may still be attaching this socket.
-      std::lock_guard<std::mutex> cb_guard(session->callback_mutex);
-      session->callback.Shutdown();
-    }
     reactor_->CloseConn(session->conn);
   }
 }
@@ -97,9 +89,8 @@ void SessionCore::OnAccept(MsgSocket sock) {
     sock.Close();
     return;
   }
-  // What this connection *is* — a new session's main channel or the
-  // callback channel of an existing session — is decided by its first
-  // message, so the handler carries a slot that Hello fills in.
+  // The session is created by the connection's first message, so the
+  // handler carries a slot that Hello fills in.
   auto bound = std::make_shared<std::shared_ptr<Session>>();
   Reactor::ConnHandler handler;
   handler.on_message = [this, bound](Reactor::ConnId conn, Message msg) {
@@ -119,6 +110,8 @@ void SessionCore::OnConnMessage(
       session = std::make_shared<Session>();
       session->id = next_session_.fetch_add(1);
       session->conn = conn;
+      // One flag byte: the client answers callbacks (DESIGN.md §11).
+      session->callable = !msg.payload.empty() && msg.payload[0] != 0;
       {
         SessionShard& shard = SessionShardFor(session->id);
         std::lock_guard<std::mutex> guard(shard.mu);
@@ -130,22 +123,6 @@ void SessionCore::OnConnMessage(
       std::string reply;
       PutFixed64(&reply, session->id);
       reactor_->Send(conn, kMsgOk, msg.req_id, std::move(reply));
-    } else if (msg.type == kMsgHelloCallback) {
-      Decoder dec(msg.payload);
-      const uint64_t id = dec.GetFixed64();
-      // The callback channel leaves the event loop: the server writes
-      // callbacks and blocks for the answer from worker context, which is
-      // exactly what the detached blocking surface is for.
-      MsgSocket cb = reactor_->Detach(conn);
-      std::shared_ptr<Session> target = dec.ok() ? FindSession(id) : nullptr;
-      if (target != nullptr && cb.valid()) {
-        cb.set_simulated_latency_us(options_.simulated_latency_us);
-        // The session is already published, so Stop() or a callback round
-        // trip can be looking at this socket; callback_mutex guards the fd.
-        std::lock_guard<std::mutex> cb_guard(target->callback_mutex);
-        target->callback = std::move(cb);
-        target->has_callback.store(true);
-      }
     } else {
       BESS_DEBUG("conn " << conn << " bad first message type " << msg.type);
       reactor_->CloseConn(conn);
@@ -156,6 +133,12 @@ void SessionCore::OnConnMessage(
   // idle probe (or a stray reply): pure liveness, already credited by the
   // reactor's activity tracking. Never a request — drop it here.
   if (msg.type == kMsgOk || msg.type == kMsgError) return;
+  // Queued, a callback answer could wait behind this session's own kMsgLock,
+  // itself waiting on the waiter the answer would grant (DESIGN.md §11).
+  if (msg.type == kMsgCallbackReleased || msg.type == kMsgCallbackDenied) {
+    OnCallbackAnswer(*session, msg);
+    return;
+  }
 
   // Enqueue admission (DESIGN.md §12). Shedding order under overload:
   // phase-two 2PC decisions and Goodbye always pass (refusing them only
@@ -213,7 +196,7 @@ void SessionCore::OnConnMessage(
 void SessionCore::OnConnClose(
     const std::shared_ptr<std::shared_ptr<Session>>& bound) {
   std::shared_ptr<Session> session = *bound;
-  if (session == nullptr) return;  // never said Hello (or was detached)
+  if (session == nullptr) return;  // never said Hello
   bool claim = false;
   {
     std::lock_guard<std::mutex> guard(session->q_mu);
@@ -344,11 +327,6 @@ void SessionCore::CleanupSession(const std::shared_ptr<Session>& session) {
     std::lock_guard<std::mutex> guard(shard.mu);
     shard.map.erase(session->id);
   }
-  {
-    std::lock_guard<std::mutex> cb_guard(session->callback_mutex);
-    session->has_callback.store(false);
-    session->callback.Close();
-  }
   BESS_COUNT_IN(scope_, "srv.session.close");
   BESS_GAUGE_SUB_IN(scope_, "srv.session.active", 1);
 }
@@ -374,15 +352,13 @@ void SessionCore::SendReply(Session& session, uint16_t type, uint64_t req_id,
 }
 
 void SessionCore::MarkSessionDefunct(Session* session) {
+  if (session->defunct.exchange(true)) return;  // another waiter got here
   BESS_COUNT_IN(scope_, "srv.callback.timeout");
   // The defunct flag stops the session's drain from continuing to *wait*
   // for locks — without it, a lock-wait round in flight rides out its cap
-  // on a request whose session is already dead. Closing the main channel
+  // on a request whose session is already dead. Closing the connection
   // (via the reactor, so it is safe from any thread) triggers the session's
   // on_close → cleanup path.
-  session->defunct.store(true);
-  session->has_callback.store(false);
-  session->callback.Shutdown();
   reactor_->CloseConn(session->conn);
   // Release the ghost's locks now rather than when its cleanup eventually
   // runs: every waiter blocked on these locks would otherwise miss its
@@ -402,62 +378,73 @@ Status SessionCore::LockWaitRound(Session& session) {
   Status s = locks_.TryAcquire(session.id, w.key, w.mode);
   if (!s.IsBusy()) return s;  // granted or hard error
 
-  // Conflict: call back the caching holders (callback locking, §3). The
-  // round trips block, which is why lock waits live on workers.
-  std::vector<std::pair<TxnId, LockMode>> holders = locks_.Holders(w.key);
-  for (const auto& [holder_id, held_mode] : holders) {
+  // Conflict: call back the caching holders (callback locking, §3) on their
+  // own connections; OnCallbackAnswer settles the answers.
+  const auto now = std::chrono::steady_clock::now();
+  const std::chrono::milliseconds window(
+      std::max(1, options_.callback_timeout_ms));
+  for (const auto& [holder_id, held_mode] : locks_.Holders(w.key)) {
     if (holder_id == session.id || LockCompatible(held_mode, w.mode)) {
       continue;
     }
     std::shared_ptr<Session> holder = FindSession(holder_id);
-    if (holder == nullptr || !holder->has_callback.load()) {
-      // A dead or callback-less session cannot answer: break its lock if
-      // the session is gone, otherwise keep waiting.
-      continue;
+    if (holder == nullptr || !holder->callable || holder->defunct.load()) {
+      continue;  // nobody can answer: wait for the holder's own release
     }
-    std::string payload;
-    PutFixed64(&payload, w.key);
-    payload.push_back(static_cast<char>(w.mode));
-    std::lock_guard<std::mutex> cb_guard(holder->callback_mutex);
-    BESS_COUNT_IN(scope_, "srv.callback.sent");
-    if (!holder->callback.Send(kMsgCallback, payload).ok()) {
-      MarkSessionDefunct(holder.get());
-      continue;
+    bool send = false;
+    bool expired = false;
+    {
+      std::lock_guard<std::mutex> guard(holder->callbacks_mu);
+      auto [it, inserted] = holder->callbacks_out.try_emplace(w.key, now);
+      send = inserted;
+      expired = !inserted && now - it->second >= window;
     }
-    auto answer = holder->callback.RecvTimeout(options_.callback_timeout_ms);
-    if (!answer.ok()) {
+    if (expired) {
       // No answer inside the window: the holder is unresponsive. Tearing
-      // down its session (not just counting a denial) frees its locks via
-      // the cleanup path so the requester stops waiting on a ghost.
+      // down its session (not just counting a denial) frees its locks so
+      // the requester stops waiting on a ghost.
       MarkSessionDefunct(holder.get());
-      continue;
-    }
-    if (answer->type == kMsgCallbackReleased) {
-      BESS_COUNT_IN(scope_, "srv.callback.released");
-      (void)locks_.Release(holder_id, w.key);
-    } else {
-      // In use: the requester keeps waiting.
-      BESS_COUNT_IN(scope_, "srv.callback.denied");
+    } else if (send) {
+      std::string payload;
+      PutFixed64(&payload, w.key);
+      payload.push_back(static_cast<char>(w.mode));
+      BESS_COUNT_IN(scope_, "srv.callback.sent");
+      SendReply(*holder, kMsgCallback, 0, std::move(payload));
     }
   }
 
-  const auto now = std::chrono::steady_clock::now();
   if (now >= w.deadline) {
     return Status::Deadlock("lock wait timeout (callbacks exhausted) on " +
                             std::to_string(w.key));
   }
   // Wait for a grant on the lock manager's shard condition instead of
   // polling: a release (callback answer, commit, or a reaped holder's
-  // ReleaseAll) wakes us immediately. The wait is capped per round so the
-  // worker is handed back between rounds and unanswered conflicts re-enter
-  // the callback loop above.
+  // ReleaseAll) wakes us immediately. The wait is capped per round, also at
+  // the callback window, so the worker is handed back between rounds and
+  // the loop above finds an unanswered callback expired on the next one.
   const auto remaining =
       std::chrono::duration_cast<std::chrono::milliseconds>(w.deadline - now);
-  const int round_ms =
-      static_cast<int>(std::min<int64_t>(remaining.count() + 1, 50));
+  const int round_ms = static_cast<int>(std::min<int64_t>(
+      {remaining.count() + 1, int64_t{50}, int64_t{window.count()}}));
   s = locks_.Acquire(session.id, w.key, w.mode, round_ms);
   if (!s.IsDeadlock()) return s;  // granted or hard error
   return Status::Busy("lock wait round expired");
+}
+
+void SessionCore::OnCallbackAnswer(Session& session, const Message& msg) {
+  Decoder dec(msg.payload);
+  const uint64_t key = dec.GetFixed64();
+  if (!dec.ok() || session.defunct.load()) return;
+  {
+    std::lock_guard<std::mutex> guard(session.callbacks_mu);
+    if (session.callbacks_out.erase(key) == 0) return;  // nobody asked
+  }
+  if (msg.type == kMsgCallbackReleased) {
+    BESS_COUNT_IN(scope_, "srv.callback.released");
+    (void)locks_.Release(session.id, key);
+  } else {
+    BESS_COUNT_IN(scope_, "srv.callback.denied");
+  }
 }
 
 size_t SessionCore::live_sessions() const {

@@ -4,10 +4,10 @@
 // requests. Sessions are not threads: each is a FIFO drained by at most one
 // worker at a time, so a connection may pipeline (replies matched by req_id)
 // while the server executes its requests serially. The core also owns the
-// Hello/HelloCallback binding, admission and deadline shedding (§12),
-// Goodbye, the cooperative callback-locking wait and cleanup. A server plugs
-// in a Handler: BessServer over its databases, NodeServer over a page cache
-// and an upstream RemoteClient.
+// Hello, admission and deadline shedding (§12), Goodbye, the cooperative
+// callback-locking wait (no worker waits for a callback's answer) and
+// cleanup. A server plugs in a Handler: BessServer over its databases,
+// NodeServer over a page cache and an upstream RemoteClient.
 #ifndef BESS_SERVER_SESSION_CORE_H_
 #define BESS_SERVER_SESSION_CORE_H_
 
@@ -33,7 +33,7 @@ class SessionCore {
   struct Options {
     std::string socket_path;
     int lock_timeout_ms = kLockTimeoutMillis;
-    /// Wait for one callback round trip; plumbed from bess::OpenOptions.
+    /// Max unanswered age of a callback; plumbed from bess::OpenOptions.
     int callback_timeout_ms = kCallbackTimeoutMillis;
     uint32_t simulated_latency_us = 0;  ///< per message (LAN simulation)
     /// Blocking-work pool size (fsync/group commit, page I/O, lock waits).
@@ -80,13 +80,13 @@ class SessionCore {
 
   struct Session {
     uint64_t id = 0;
-    Reactor::ConnId conn = 0;  ///< reactor-owned main channel
-    MsgSocket callback;
-    /// Guards the callback socket: one round trip at a time, and the
-    /// HelloCallback attach / Stop() shutdown of a published session's
-    /// socket. MarkSessionDefunct expects its callers to hold it.
-    std::mutex callback_mutex;
-    std::atomic<bool> has_callback{false};
+    Reactor::ConnId conn = 0;  ///< reactor-owned connection
+    bool callable = false;  ///< its Hello's flag: it answers kMsgCallback
+    /// Unanswered callbacks sent to this session: lock key -> send time,
+    /// one per key. An answer with no entry is ignored (DESIGN.md §11).
+    std::mutex callbacks_mu;
+    std::unordered_map<uint64_t, std::chrono::steady_clock::time_point>
+        callbacks_out;
     /// Set when the session is being torn down (callback timeout, Stop,
     /// CloseAllSessions). Its drain stops waiting for locks and drops
     /// queued work instead of riding out a doomed request.
@@ -187,6 +187,8 @@ class SessionCore {
       const std::shared_ptr<std::shared_ptr<Session>>& bound,
       Reactor::ConnId conn, Message msg);
   void OnConnClose(const std::shared_ptr<std::shared_ptr<Session>>& bound);
+  /// A callback answer: settled inline, never through the session's FIFO.
+  void OnCallbackAnswer(Session& session, const Message& msg);
 
   // Worker-side request execution (serial per session).
   void DrainSession(std::shared_ptr<Session> session);

@@ -177,8 +177,9 @@ TEST_F(ReactorTest, AbruptDisconnectReapsSessionAndFreesLocks) {
   ASSERT_TRUE(
       waiter.Send(kMsgLock, LockPayload(42, LockMode::kX, 1500), 2).ok());
   // While the waiter's request sits in a cooperative lock wait, the holder
-  // disappears mid-session. (The holder has no callback channel bound, so
-  // the grant must come from on_close teardown, not callback release.)
+  // disappears mid-session. (The holder's Hello did not declare it
+  // callable, so the grant must come from on_close teardown, not a callback
+  // release.)
   holder.Close();
 
   auto reply = waiter.Recv();

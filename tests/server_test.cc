@@ -3,6 +3,8 @@
 // node server's shared cache, and two-phase commit across servers.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -66,6 +68,25 @@ class ServerTest : public ::testing::Test {
     EXPECT_TRUE(c.ok()) << c.status().ToString();
     clients_.push_back(std::move(*c));
     return clients_.back().get();
+  }
+
+  /// A bare session on the server socket: Hello with no callable flag.
+  MsgSocket ConnectRaw() {
+    auto sock = MsgSocket::Connect((base_ / "server.sock").string());
+    EXPECT_TRUE(sock.ok()) << sock.status().ToString();
+    EXPECT_TRUE(sock->Send(kMsgHello, "").ok());
+    auto hello = sock->Recv();
+    EXPECT_TRUE(hello.ok() && hello->type == kMsgOk);
+    return std::move(*sock);
+  }
+
+  static std::string LockPayload(uint64_t key, LockMode mode,
+                                 uint32_t timeout_ms) {
+    std::string p;
+    PutFixed64(&p, key);
+    p.push_back(static_cast<char>(mode));
+    PutFixed32(&p, timeout_ms);
+    return p;
   }
 
   std::filesystem::path base_;
@@ -771,6 +792,177 @@ TEST_F(ServerTest, CallbackTimeoutTearsDownUnresponsiveHolder) {
 #if BESS_METRICS_ENABLED
   EXPECT_GT(Snapshot().counter("srv.callback.timeout"), 0u);
 #endif
+}
+
+// Answers callbacks only once the test opens its latch (or 5 s pass, so a
+// failing test still tears down).
+class LatchPolicy : public LockCallbackPolicy {
+ public:
+  Status OnCallback(uint64_t, LockMode) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++called_;
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(5), [this] { return open_; });
+    return Status::OK();
+  }
+  void OnSessionLost() override {}
+
+  bool WaitCalled(int timeout_ms) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                        [this] { return called_ > 0; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> guard(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int called_ = 0;
+  bool open_ = false;
+};
+
+// A callback the holder has not answered yet holds no server worker: with a
+// one-worker pool, another session's ping is served while the callback is
+// outstanding, and the holder's late Released answer still grants the
+// waiter, inside the callback window.
+TEST_F(ServerTest, UnansweredCallbackParksNoWorker) {
+  BessServer::Options so;
+  so.socket_path = (base_ / "server.sock").string();
+  so.worker_threads = 1;
+  so.lock_timeout_ms = 5000;
+  so.callback_timeout_ms = 2000;
+  server_ = std::make_unique<BessServer>(so);
+  ASSERT_TRUE(server_->Start().ok());
+
+  LatchPolicy policy;
+  RemoteClient::Options ho;
+  ho.server_path = so.socket_path;
+  auto holder = RemoteClient::Connect(ho, &policy);
+  ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+  constexpr uint64_t kKey = 4242;
+  Message reply;
+  ASSERT_TRUE((*holder)
+                  ->Call(kMsgLock, LockPayload(kKey, LockMode::kX, 1000),
+                         &reply)
+                  .ok());
+
+  MsgSocket waiter = ConnectRaw();
+  ASSERT_TRUE(
+      waiter.Send(kMsgLock, LockPayload(kKey, LockMode::kX, 4000), 1).ok());
+  ASSERT_TRUE(policy.WaitCalled(3000)) << "holder never called back";
+
+  MsgSocket other = ConnectRaw();
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(other.Send(kMsgPing, "p", 7).ok());
+  auto pong = other.RecvTimeout(3000);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->req_id, 7u);
+  EXPECT_LT(waited, std::chrono::milliseconds(200))
+      << "ping waited behind the unanswered callback";
+
+  policy.Open();
+  auto granted = waiter.RecvTimeout(3000);
+  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
+  EXPECT_EQ(granted->req_id, 1u);
+  EXPECT_EQ(granted->type, kMsgOk) << DecodeStatusReply(*granted).ToString();
+  const auto stats = server_->stats();
+  EXPECT_EQ(stats.counter("srv.callback.timeout"), 0u);
+  EXPECT_EQ(stats.counter("srv.callback.released"), 1u);
+  (void)waiter.Send(kMsgGoodbye, "");
+  (void)other.Send(kMsgGoodbye, "");
+}
+
+// A Released answer counts only against a callback the server sent: a
+// session that volunteers one for a lock it holds keeps that lock, and the
+// answer gets no reply.
+TEST_F(ServerTest, UnaskedCallbackAnswerKeepsLock) {
+  StartServer();
+  constexpr uint64_t kKey = 77;
+  MsgSocket holder = ConnectRaw();
+  ASSERT_TRUE(
+      holder.Send(kMsgLock, LockPayload(kKey, LockMode::kX, 1000), 1).ok());
+  auto granted = holder.Recv();
+  ASSERT_TRUE(granted.ok());
+  ASSERT_EQ(granted->type, kMsgOk);
+  std::string key;
+  PutFixed64(&key, kKey);
+  ASSERT_TRUE(holder.Send(kMsgCallbackReleased, key, 2).ok());
+
+  MsgSocket waiter = ConnectRaw();
+  ASSERT_TRUE(
+      waiter.Send(kMsgLock, LockPayload(kKey, LockMode::kX, 200), 3).ok());
+  auto refused = waiter.RecvTimeout(3000);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused->req_id, 3u);
+  EXPECT_TRUE(DecodeStatusReply(*refused).IsDeadlock())
+      << "waiter granted a lock the holder still holds";
+
+  ASSERT_TRUE(holder.Send(kMsgPing, "", 4).ok());
+  auto pong = holder.RecvTimeout(3000);
+  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_EQ(pong->req_id, 4u);
+  EXPECT_EQ(server_->stats().counter("srv.callback.released"), 0u);
+  (void)holder.Send(kMsgGoodbye, "");
+  (void)waiter.Send(kMsgGoodbye, "");
+}
+
+// After a reconnect the client's new session is the one called back: it
+// caches a lock there, and another client's conflicting write is granted
+// through its Released answer, with no callback timing out.
+TEST_F(ServerTest, CallbackAnsweredOnSessionAfterReconnect) {
+  StartServer();
+  RemoteClient* a = Connect();
+  ASSERT_TRUE(a->Begin().ok());
+  auto file = a->CreateFile("f");
+  ASSERT_TRUE(file.ok());
+  uint64_t v = 1;
+  auto slot = a->CreateObject(*file, kRawBytesType, 8, &v);
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(a->SetRoot("x", *slot).ok());
+  ASSERT_TRUE(a->Commit().ok());
+
+  // A's next reply is torn away mid-RPC; the retry reconnects.
+  ASSERT_TRUE(a->Begin().ok());
+  fault::FaultSpec spec = fault::FaultSpec::FailNth(1);
+  spec.detail_filter = "server.sock";
+  fault::FaultRegistry::Instance().Arm("sock.recv", spec);
+  auto torn = a->GetRoot("x");
+  fault::FaultRegistry::Instance().DisarmAll();
+  ASSERT_TRUE(torn.ok()) << torn.status().ToString();
+  ASSERT_GE(a->stats().counter("rpc.reconnect"), 1u);
+  EXPECT_FALSE(a->Commit().ok());  // its locks died with the old session
+
+  // A caches a read lock on the new session.
+  ASSERT_TRUE(a->Begin().ok());
+  auto mine = a->GetRoot("x");
+  ASSERT_TRUE(mine.ok()) << mine.status().ToString();
+  ASSERT_TRUE(a->Commit().ok());
+  const uint64_t released = a->stats().counter("client.callback.released");
+
+  RemoteClient* b = Connect();
+  ASSERT_TRUE(b->Begin().ok());
+  auto theirs = b->GetRoot("x");
+  ASSERT_TRUE(theirs.ok()) << theirs.status().ToString();
+  *reinterpret_cast<uint64_t*>((*theirs)->dp) = 5;
+  Status commit = b->Commit();
+  ASSERT_TRUE(commit.ok()) << commit.ToString();
+
+  EXPECT_GT(a->stats().counter("client.callback.released"), released);
+  const auto stats = server_->stats();
+  EXPECT_GT(stats.counter("srv.callback.released"), 0u);
+  EXPECT_EQ(stats.counter("srv.callback.timeout"), 0u);
+
+  // A dropped its copy with the lock and reads B's write.
+  ASSERT_TRUE(a->Begin().ok());
+  auto after = a->GetRoot("x");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*reinterpret_cast<uint64_t*>((*after)->dp), 5u);
+  ASSERT_TRUE(a->Commit().ok());
 }
 
 // The maintenance opcode end to end: a client asks the server to scrub its
