@@ -39,7 +39,7 @@
 #include "cache/frame_table.h"
 #include "index/btree_page.h"
 #include "storage/storage_area.h"
-#include "wal/log_record.h"
+#include "wal/recovery.h"
 
 namespace bess {
 
@@ -98,16 +98,12 @@ class BTreeIndex {
   /// pointer-chasing demand misses. Entries are delivered in key order.
   Status Scan(Slice lo, Slice hi, const EntryFn& fn);
 
-  /// Appends the CLR compensating one logical undo step — called with the
-  /// touched leaf and its post-undo image, returns the CLR's LSN (the new
-  /// chain tail). Null = unlogged undo (tests).
-  using ClrLogger =
-      std::function<Result<Lsn>(PageAddr page, const std::string& after)>;
-
   /// Logical undo of one kIndexPut/kIndexDelete against the live tree
-  /// (abort and restart-undo paths). Re-descends for the key — a split may
-  /// have moved it since — reverses the operation, hands the leaf's
-  /// post-undo image to `log_clr`, and applies it at the CLR's LSN.
+  /// (the IndexUndo step of the one undo walker, wal/recovery.h, at abort
+  /// and at restart). Re-descends for the key — a split may have moved it
+  /// since — reverses the operation, hands the leaf's post-undo image to
+  /// `log_clr` (null = unlogged undo, tests), and applies it at the CLR's
+  /// LSN.
   /// Idempotent: undoing an already-reversed record still emits the CLR
   /// (the image is simply unchanged), so restart-undo converges.
   Status UndoLogical(const LogRecord& rec, const ClrLogger& log_clr);

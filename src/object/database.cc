@@ -289,8 +289,8 @@ Status Database::RunRecovery() {
   // area by construction. The runtimes are flushed and torn down before
   // the areas are synced and the log is reset below.
   std::unordered_map<uint16_t, std::unique_ptr<BTreeIndex>> undo_trees;
-  ropts.index_undo = [this, &undo_trees](const LogRecord& rec, Lsn chain_tail,
-                                         Lsn* new_tail) -> Status {
+  ropts.index_undo = [this, &undo_trees](const LogRecord& rec,
+                                         const ClrLogger& log_clr) -> Status {
     auto it = undo_trees.find(rec.index_area);
     if (it == undo_trees.end()) {
       StorageArea* area = AreaOrNull(rec.index_area);
@@ -312,20 +312,7 @@ Status Database::RunRecovery() {
       BESS_ASSIGN_OR_RETURN(auto tree, BTreeIndex::Open(area, iopts));
       it = undo_trees.emplace(rec.index_area, std::move(tree)).first;
     }
-    return it->second->UndoLogical(
-        rec,
-        [&](PageAddr page, const std::string& after) -> Result<Lsn> {
-          LogRecord clr;
-          clr.type = LogRecordType::kClr;
-          clr.txn = rec.txn;
-          clr.prev_lsn = chain_tail;
-          clr.page = page;
-          clr.after = after;
-          clr.undo_next = rec.prev_lsn;
-          BESS_ASSIGN_OR_RETURN(Lsn lsn, wal_->AppendUnthrottled(clr));
-          *new_tail = lsn;
-          return lsn;
-        });
+    return it->second->UndoLogical(rec, log_clr);
   };
   RecoveryManager recovery(wal_.get(), &sink, ropts);
   BESS_RETURN_IF_ERROR(recovery.Run());
@@ -587,64 +574,69 @@ Result<Txn*> Database::Begin() {
   return txn;
 }
 
+Result<Lsn> Database::OpenChain(TxnId txn_id) {
+  {
+    std::lock_guard<std::mutex> guard(rec_mutex_);
+    LoggingTxn& lt = logging_txns_[txn_id];
+    if (lt.last_lsn != kNullLsn) return lt.last_lsn;
+    // Register before the first append: the fuzzy checkpoint's redo floor
+    // folds in active transactions' first LSNs, which covers the window
+    // where a page is logged but not yet forced (the DPT only learns of it
+    // at force time). Reading the tail *before* kBegin keeps the bound
+    // conservative against appends that slip in between.
+    lt.first_lsn = wal_->tail_lsn();
+  }
+  // Admission control: the kBegin append is the only one subject to
+  // log-full backpressure. Once a transaction is admitted, its remaining
+  // records go through unthrottled — a registered transaction pins the
+  // redo floor, so throttling it mid-flight would wait on a checkpoint that
+  // can never free space below its own records (self-deadlock until
+  // timeout).
+  LogRecord begin;
+  begin.type = LogRecordType::kBegin;
+  begin.txn = txn_id;
+  auto begin_r = wal_->Append(begin);
+  if (!begin_r.ok()) {
+    UnregisterLoggingTxn(txn_id);
+    return begin_r.status();
+  }
+  std::lock_guard<std::mutex> guard(rec_mutex_);
+  logging_txns_[txn_id].last_lsn = *begin_r;
+  return *begin_r;
+}
+
+Result<Lsn> Database::AppendToChain(TxnId txn_id, LogRecord&& rec) {
+  BESS_ASSIGN_OR_RETURN(rec.prev_lsn, OpenChain(txn_id));
+  rec.txn = txn_id;
+  BESS_ASSIGN_OR_RETURN(const Lsn lsn, wal_->AppendUnthrottled(rec));
+  // The undo chain head, where an abort's undo walk starts.
+  std::lock_guard<std::mutex> guard(rec_mutex_);
+  logging_txns_[txn_id].last_lsn = lsn;
+  return lsn;
+}
+
 Result<Lsn> Database::LogPageSet(TxnId txn_id,
                                  const std::vector<PageImage>& pages,
                                  LogRecordType final_record,
                                  std::vector<Lsn>* page_lsns) {
-  // Register before the first append: the fuzzy checkpoint's redo floor
-  // folds in active transactions' first LSNs, which covers the window where
-  // a page is logged but not yet forced (the DPT only learns of it at force
-  // time). Reading the tail *before* kBegin keeps the bound conservative
-  // against appends that slip in between. A transaction that already logged
-  // index records (LogIndexRecord) is registered and admitted — its page
-  // records continue the existing chain instead of opening a second one.
-  bool had_chain = false;
-  Lsn chain = kNullLsn;  // newest appended record of this txn's chain
-  {
-    std::lock_guard<std::mutex> guard(rec_mutex_);
-    auto lt = logging_txns_.find(txn_id);
-    if (lt != logging_txns_.end() && lt->second.last_lsn != kNullLsn) {
-      had_chain = true;
-      chain = lt->second.last_lsn;
-    } else {
-      logging_txns_[txn_id].first_lsn = wal_->tail_lsn();
-    }
-  }
+  // Admitted before any record of the set (FPIs included) is appended. A
+  // transaction that already logged index records continues its chain.
+  BESS_RETURN_IF_ERROR(OpenChain(txn_id).status());
   auto fail = [&](Status st) -> Result<Lsn> {
     // Nothing was forced, but the appended records cannot be left orphaned:
     // once the txn is unregistered it no longer pins the retention floor,
     // and a later checkpoint could recycle the segment holding the chain's
     // early records while newer ones survive — restart undo would then walk
-    // prev_lsn into recycled log and fail forever. Close the chain now
-    // (kAbort + CLRs + kEnd, best-effort: appends only fail here when the
-    // log is wedged, and a wedged log blocks checkpoints — and thus
-    // recycling — too, so the fully-retained chain stays undoable).
-    (void)AbortLoggedChain(txn_id, chain);
-    UnregisterLoggingTxn(txn_id);
+    // prev_lsn into recycled log and fail forever. Roll the chain back now
+    // (best-effort: appends only fail here when the log is wedged, and a
+    // wedged log blocks checkpoints — and thus recycling — too, so the
+    // fully-retained chain stays undoable).
+    (void)AbortLoggedChain(txn_id);
     return st;
   };
-  // Admission control: only the kBegin append is subject to log-full
-  // backpressure. Once a transaction is admitted, its remaining records go
-  // through unthrottled — a registered transaction pins the redo floor, so
-  // throttling it mid-flight would wait on a checkpoint that can never free
-  // space below its own records (self-deadlock until timeout).
-  Lsn prev = chain;
-  if (!had_chain) {
-    LogRecord begin;
-    begin.type = LogRecordType::kBegin;
-    begin.txn = txn_id;
-    auto begin_r = wal_->Append(begin);
-    if (!begin_r.ok()) return fail(begin_r.status());
-    prev = *begin_r;
-    chain = prev;
-  }
   std::string before(kPageSize, '\0');
   for (const PageImage& img : pages) {
-    LogRecord rec;
-    rec.type = LogRecordType::kPageWrite;
-    rec.txn = txn_id;
-    rec.prev_lsn = prev;
-    rec.page = PageAddr{img.db, img.area, img.page};
+    const PageAddr addr{img.db, img.area, img.page};
     StorageArea* a = AreaOrNull(img.area);
     if (a == nullptr) return fail(Status::Internal("dirty page in unknown area"));
     Status rs = a->ReadPages(img.page, 1, before.data());
@@ -653,7 +645,7 @@ Result<Lsn> Database::LogPageSet(TxnId txn_id,
     Lsn fpi_lsn = kNullLsn;
     {
       std::lock_guard<std::mutex> guard(fpi_mutex_);
-      auto it = fpi_logged_.find(rec.page.Pack());
+      auto it = fpi_logged_.find(addr.Pack());
       if (it == fpi_logged_.end() || it->second < wal_->oldest_lsn()) {
         need_fpi = true;
       } else {
@@ -685,40 +677,33 @@ Result<Lsn> Database::LogPageSet(TxnId txn_id,
       // No FPI for this page in the retained log (never logged, or its
       // segment was recycled): log its current durable image so a media
       // failure later can be repaired to a byte-exact state. Costs no
-      // extra I/O — the image is the before-image we just read. prev_lsn
-      // stays kNullLsn so undo never walks into it.
+      // extra I/O — the image is the before-image we just read. It stays
+      // off the chain (prev_lsn kNullLsn) so undo never walks into it.
       LogRecord fpi;
       fpi.type = LogRecordType::kFullPageImage;
       fpi.txn = txn_id;
-      fpi.page = rec.page;
+      fpi.page = addr;
       fpi.after = before;
       auto fpi_r = wal_->AppendUnthrottled(fpi);
       if (!fpi_r.ok()) return fail(fpi_r.status());
       {
         std::lock_guard<std::mutex> guard(fpi_mutex_);
-        fpi_logged_[rec.page.Pack()] = *fpi_r;
+        fpi_logged_[addr.Pack()] = *fpi_r;
       }
       BESS_COUNT("wal.fpi.records");
     }
+    LogRecord rec;
+    rec.type = LogRecordType::kPageWrite;
+    rec.page = addr;
     rec.before = before;
     rec.after = img.bytes;
-    auto rec_r = wal_->AppendUnthrottled(rec);
+    auto rec_r = AppendToChain(txn_id, std::move(rec));
     if (!rec_r.ok()) return fail(rec_r.status());
-    prev = *rec_r;
-    chain = prev;
-    if (page_lsns != nullptr) page_lsns->push_back(prev);
-    {
-      // The undo chain head, snapshotted by checkpoints so restart undo of
-      // a txn active at checkpoint time starts at the right record.
-      std::lock_guard<std::mutex> guard(rec_mutex_);
-      logging_txns_[txn_id].last_lsn = prev;
-    }
+    if (page_lsns != nullptr) page_lsns->push_back(*rec_r);
   }
   LogRecord fin;
   fin.type = final_record;
-  fin.txn = txn_id;
-  fin.prev_lsn = prev;
-  auto lsn_r = wal_->AppendUnthrottled(fin);
+  auto lsn_r = AppendToChain(txn_id, std::move(fin));
   if (!lsn_r.ok()) return fail(lsn_r.status());
   Status fs = wal_->Flush(*lsn_r);  // WAL rule; flushes coalesce
   if (!fs.ok()) return fail(fs);
@@ -747,40 +732,10 @@ Status Database::ForcePages(const std::vector<PageImage>& pages, Lsn lsn,
   return Status::OK();
 }
 
-Status Database::LogAndForce(TxnId txn_id,
-                             const std::vector<PageImage>& pages) {
-  if (pages.empty()) {
-    // No object pages to force — but the transaction may have logged index
-    // records (steal/no-force: nothing to force at commit, durability is
-    // the flushed commit record alone). Close its chain.
-    const Lsn chain = TxnChainHead(txn_id);
-    if (chain == kNullLsn) return Status::OK();
-    LogRecord commit;
-    commit.type = LogRecordType::kCommit;
-    commit.txn = txn_id;
-    commit.prev_lsn = chain;
-    auto commit_r = wal_->AppendUnthrottled(commit);
-    Status cs = commit_r.ok() ? wal_->Flush(*commit_r) : commit_r.status();
-    if (!cs.ok()) {
-      // The commit was never acknowledged; close the chain as an abort so
-      // its records cannot be half-recycled (same as LogPageSet's fail).
-      (void)AbortLoggedChain(txn_id, chain);
-      UnregisterLoggingTxn(txn_id);
-      return cs;
-    }
-    LogRecord end;
-    end.type = LogRecordType::kEnd;
-    end.txn = txn_id;
-    end.prev_lsn = *commit_r;
-    Status es = wal_->AppendUnthrottled(end).status();
-    UnregisterLoggingTxn(txn_id);
-    return es;
-  }
-  std::vector<Lsn> page_lsns;
-  // LogPageSet unregisters the txn itself on failure (nothing forced).
-  BESS_ASSIGN_OR_RETURN(
-      const Lsn commit_lsn,
-      LogPageSet(txn_id, pages, LogRecordType::kCommit, &page_lsns));
+Status Database::CloseCommit(TxnId txn_id,
+                             const std::vector<PageImage>& pages,
+                             Lsn commit_lsn,
+                             const std::vector<Lsn>& page_lsns) {
   // no-steal / force policy; trailers carry the commit LSN as page LSN
   Status fs = ForcePages(pages, commit_lsn, page_lsns);
   if (!fs.ok()) {
@@ -791,15 +746,26 @@ Status Database::LogAndForce(TxnId txn_id,
   }
   LogRecord end;
   end.type = LogRecordType::kEnd;
-  end.txn = txn_id;
-  // Unthrottled like every post-admission record: the txn still pins the
-  // retention floor, so throttling here would wait on a checkpoint that
-  // cannot free space below the txn's own records.
-  Status es = wal_->AppendUnthrottled(end).status();
+  Status es = AppendToChain(txn_id, std::move(end)).status();
   // Forced pages are in the DPT now; the DPT carries retention from here
   // even if the End append failed.
   UnregisterLoggingTxn(txn_id);
   return es;
+}
+
+Status Database::LogAndForce(TxnId txn_id,
+                             const std::vector<PageImage>& pages) {
+  // Nothing to force and nothing logged: nothing to commit. A transaction
+  // that logged only index records still closes its chain (steal/no-force:
+  // durability is the flushed commit record alone).
+  if (pages.empty() && TxnChainHead(txn_id) == kNullLsn) return Status::OK();
+  std::vector<Lsn> page_lsns;
+  // LogPageSet rolls the chain back and unregisters on failure (nothing
+  // forced).
+  BESS_ASSIGN_OR_RETURN(
+      const Lsn commit_lsn,
+      LogPageSet(txn_id, pages, LogRecordType::kCommit, &page_lsns));
+  return CloseCommit(txn_id, pages, commit_lsn, page_lsns);
 }
 
 void Database::UnregisterLoggingTxn(TxnId txn_id) {
@@ -807,63 +773,26 @@ void Database::UnregisterLoggingTxn(TxnId txn_id) {
   logging_txns_.erase(txn_id);
 }
 
-Status Database::AbortLoggedChain(TxnId txn_id, Lsn last_lsn) {
-  if (last_lsn == kNullLsn) return Status::OK();
-  // A transaction whose records reached the log but whose pages were never
-  // forced. Plain kAbort+kEnd would be wrong: restart redo blindly repeats
-  // history, so the chain's after-images would land on disk with no loser
-  // undo to remove them. Mirror restart undo instead — walk the prev_lsn
-  // chain appending CLRs that (re)apply the before-images, then kEnd; redo
-  // of the closed chain nets out to the untouched disk state, and analysis
-  // never needs records below whatever suffix of the chain is retained.
-  LogRecord abort_rec;
-  abort_rec.type = LogRecordType::kAbort;
-  abort_rec.txn = txn_id;
-  abort_rec.prev_lsn = last_lsn;
-  BESS_ASSIGN_OR_RETURN(Lsn tail, wal_->AppendUnthrottled(abort_rec));
-  Lsn cur = last_lsn;
-  while (cur != kNullLsn) {
-    BESS_ASSIGN_OR_RETURN(LogRecord rec, wal_->ReadRecord(cur));
-    if (rec.type == LogRecordType::kPageWrite && !rec.before.empty()) {
-      LogRecord clr;
-      clr.type = LogRecordType::kClr;
-      clr.txn = txn_id;
-      clr.prev_lsn = tail;
-      clr.page = rec.page;
-      clr.after = rec.before;
-      clr.undo_next = rec.prev_lsn;
-      BESS_ASSIGN_OR_RETURN(tail, wal_->AppendUnthrottled(clr));
-      BESS_COUNT("wal.abort.clrs");
-    } else if (rec.type == LogRecordType::kIndexPut ||
-               rec.type == LogRecordType::kIndexDelete) {
-      // Logical undo against the live tree (a split may have moved the key
-      // since the record was written); the runtime hands back the leaf's
-      // post-undo image, which the CLR carries for blind restart redo.
-      BESS_ASSIGN_OR_RETURN(std::shared_ptr<BTreeIndex> rt,
-                            IndexRuntime(rec.index_area));
-      BESS_RETURN_IF_ERROR(rt->UndoLogical(
-          rec,
-          [&](PageAddr page, const std::string& after) -> Result<Lsn> {
-            LogRecord clr;
-            clr.type = LogRecordType::kClr;
-            clr.txn = txn_id;
-            clr.prev_lsn = tail;
-            clr.page = page;
-            clr.after = after;
-            clr.undo_next = rec.prev_lsn;
-            BESS_ASSIGN_OR_RETURN(tail, wal_->AppendUnthrottled(clr));
-            BESS_COUNT("wal.abort.clrs");
-            return tail;
-          }));
-    }
-    cur = rec.prev_lsn;
+Status Database::AbortLoggedChain(TxnId txn_id) {
+  const Lsn head = TxnChainHead(txn_id);
+  Status st;
+  if (head != kNullLsn) {
+    // The transaction's object pages were never forced, so the walker gets
+    // no page sink. Its index records are live in the trees (steal): each
+    // is undone logically against the live runtime.
+    UndoCounts counts;
+    st = UndoChain(
+        wal_.get(), txn_id, head, /*sink=*/nullptr,
+        [this](const LogRecord& rec, const ClrLogger& log_clr) -> Status {
+          BESS_ASSIGN_OR_RETURN(std::shared_ptr<BTreeIndex> rt,
+                                IndexRuntime(rec.index_area));
+          return rt->UndoLogical(rec, log_clr);
+        },
+        &counts);
+    BESS_COUNT_N("wal.abort.clrs", counts.clrs);
   }
-  LogRecord end;
-  end.type = LogRecordType::kEnd;
-  end.txn = txn_id;
-  end.prev_lsn = tail;
-  BESS_ASSIGN_OR_RETURN(Lsn end_lsn, wal_->AppendUnthrottled(end));
-  return wal_->Flush(end_lsn);
+  UnregisterLoggingTxn(txn_id);
+  return st;
 }
 
 void Database::TouchDpt(uint64_t page_key, Lsn rec_lsn) {
@@ -982,9 +911,7 @@ Status Database::Abort(Txn* txn) {
   // the same chain get before-image CLRs — redundant with the in-memory
   // revert below, but required for restart redo to net out. No-op for
   // transactions that never logged (the common abort: nothing committed).
-  const Lsn chain = TxnChainHead(txn->id);
-  if (chain != kNullLsn) (void)AbortLoggedChain(txn->id, chain);
-  UnregisterLoggingTxn(txn->id);
+  (void)AbortLoggedChain(txn->id);
   // Roll back in-memory state: segments this txn created/mutated
   // structurally are evicted (refault from disk); pages it dirtied are
   // restored from their undo images.
@@ -1018,46 +945,6 @@ Status Database::Abort(Txn* txn) {
 }
 
 // ---- secondary indexes (DESIGN.md §14) --------------------------------------
-
-Result<Lsn> Database::LogIndexRecord(TxnId txn_id, LogRecord&& rec) {
-  Lsn prev = kNullLsn;
-  bool fresh = false;
-  {
-    std::lock_guard<std::mutex> guard(rec_mutex_);
-    auto it = logging_txns_.find(txn_id);
-    if (it != logging_txns_.end()) {
-      prev = it->second.last_lsn;
-    } else {
-      // First record of this transaction: register before appending so the
-      // checkpoint redo floor covers the chain (same rule as LogPageSet).
-      fresh = true;
-      logging_txns_[txn_id].first_lsn = wal_->tail_lsn();
-    }
-  }
-  if (fresh) {
-    // Admission control: the throttled kBegin is the transaction's only
-    // gate; everything after goes through unthrottled (a registered txn
-    // pins the redo floor — throttling it would self-deadlock on the
-    // checkpoint it is waiting for).
-    LogRecord begin;
-    begin.type = LogRecordType::kBegin;
-    begin.txn = txn_id;
-    auto begin_r = wal_->Append(begin);
-    if (!begin_r.ok()) {
-      UnregisterLoggingTxn(txn_id);
-      return begin_r.status();
-    }
-    prev = *begin_r;
-  }
-  rec.txn = txn_id;
-  rec.prev_lsn = prev;
-  BESS_ASSIGN_OR_RETURN(Lsn lsn, wal_->AppendUnthrottled(rec));
-  {
-    std::lock_guard<std::mutex> guard(rec_mutex_);
-    logging_txns_[txn_id].last_lsn = lsn;
-  }
-  return lsn;
-}
 
 Lsn Database::TxnChainHead(TxnId txn_id) {
   std::lock_guard<std::mutex> guard(rec_mutex_);
@@ -1222,7 +1109,7 @@ Status Index::Put(Txn* txn, Slice key, Slice value) {
   TxnId id = kNoTxn;
   BESS_RETURN_IF_ERROR(db_->IndexTxnPrologue(txn, &autocommit, &id));
   BTreeIndex::RecordLogger logger = [this, id](LogRecord&& rec) {
-    return db_->LogIndexRecord(id, std::move(rec));
+    return db_->AppendToChain(id, std::move(rec));
   };
   Status s = impl_->Put(key, value, logger);
   return db_->FinishIndexWrite(txn, id, autocommit, s);
@@ -1234,7 +1121,7 @@ Status Index::Delete(Txn* txn, Slice key, bool* existed) {
   TxnId id = kNoTxn;
   BESS_RETURN_IF_ERROR(db_->IndexTxnPrologue(txn, &autocommit, &id));
   BTreeIndex::RecordLogger logger = [this, id](LogRecord&& rec) {
-    return db_->LogIndexRecord(id, std::move(rec));
+    return db_->AppendToChain(id, std::move(rec));
   };
   bool was_there = false;
   Status s = impl_->Delete(key, &was_there, logger);
@@ -1247,9 +1134,7 @@ Status Database::FinishIndexWrite(Txn* txn, TxnId id, bool autocommit,
   if (!op.ok()) {
     if (autocommit) {
       // Close whatever chain the failed op left behind (possibly none).
-      const Lsn chain = TxnChainHead(id);
-      if (chain != kNullLsn) (void)AbortLoggedChain(id, chain);
-      UnregisterLoggingTxn(id);
+      (void)AbortLoggedChain(id);
     } else if (!txn->poisoned) {
       // The tree and the txn's chain may disagree now; only Abort's
       // logical undo reconciles them. Poison so commit refuses.
@@ -1763,54 +1648,24 @@ Status Database::CommitPrepared(uint64_t gtid) {
     set = std::move(it->second);
     prepared_.erase(it);
   }
-  // Phase 2 records bypass backpressure: resolving an in-doubt txn is what
-  // lets the retention floor (and the log) shrink again.
-  LogRecord commit;
-  commit.type = LogRecordType::kCommit;
-  commit.txn = gtid;
-  BESS_ASSIGN_OR_RETURN(Lsn lsn, wal_->AppendUnthrottled(commit));
-  BESS_RETURN_IF_ERROR(wal_->Flush(lsn));
-  BESS_RETURN_IF_ERROR(ForcePages(set.pages, lsn, set.page_lsns));
-  LogRecord end;
-  end.type = LogRecordType::kEnd;
-  end.txn = gtid;
-  Status es = wal_->AppendUnthrottled(end).status();
-  UnregisterLoggingTxn(gtid);
-  return es;
+  // Phase 2 continues the prepared chain, already admitted: its records
+  // bypass backpressure, since resolving an in-doubt txn is what lets the
+  // retention floor (and the log) shrink again.
+  BESS_ASSIGN_OR_RETURN(const Lsn lsn,
+                        LogPageSet(gtid, {}, LogRecordType::kCommit));
+  return CloseCommit(gtid, set.pages, lsn, set.page_lsns);
 }
 
 Status Database::AbortPrepared(uint64_t gtid) {
-  std::vector<Lsn> page_lsns;
   {
     std::lock_guard<std::mutex> guard(prepared_mutex_);
-    auto it = prepared_.find(gtid);
-    if (it != prepared_.end()) {
-      page_lsns = std::move(it->second.page_lsns);
-      prepared_.erase(it);
-    }
+    // A gtid with nothing in the log (presumed abort of an unknown txn)
+    // needs no record: restart ignores kAbort, and a lone kEnd changes no
+    // outcome.
+    if (prepared_.erase(gtid) == 0) return Status::OK();
   }
-  if (!page_lsns.empty()) {
-    // The prepared page set is in the log but was never forced: close the
-    // chain with CLRs so blind restart redo nets out to the untouched disk
-    // state (kAbort+kEnd alone would replay the after-images with no loser
-    // undo to remove them).
-    Status st = AbortLoggedChain(gtid, page_lsns.back());
-    UnregisterLoggingTxn(gtid);
-    return st;
-  }
-  // Nothing of this gtid in the log (presumed abort of an unknown txn):
-  // record the decision for the coordinator's benefit only.
-  LogRecord abort;
-  abort.type = LogRecordType::kAbort;
-  abort.txn = gtid;
-  BESS_RETURN_IF_ERROR(wal_->AppendUnthrottled(abort).status());
-  LogRecord end;
-  end.type = LogRecordType::kEnd;
-  end.txn = gtid;
-  BESS_ASSIGN_OR_RETURN(Lsn lsn, wal_->AppendUnthrottled(end));
-  Status fs = wal_->Flush(lsn);
-  UnregisterLoggingTxn(gtid);
-  return fs;
+  // The prepared page set is in the log but was never forced.
+  return AbortLoggedChain(gtid);
 }
 
 Result<Database::RemoteSegmentGrant> Database::GrantObjectSegment(
@@ -1982,7 +1837,6 @@ Status Database::Checkpoint() {
       }
     }
     for (const auto& [txn, state] : logging_txns_) {
-      cp.active_txns.push_back({txn, state.last_lsn});
       if (state.first_lsn != kNullLsn && state.first_lsn < cp.redo_floor) {
         cp.redo_floor = state.first_lsn;
       }

@@ -347,12 +347,26 @@ class Database {
   StorageArea* AreaOrNull(uint16_t area_id) const;
   std::string AreaPath(uint16_t area_id) const;
   TxnId NextTxnId();
+  /// Commits a page set (and whatever the txn already logged): LogPageSet
+  /// with kCommit, then CloseCommit. No records for a txn with neither.
   Status LogAndForce(TxnId txn_id, const std::vector<PageImage>& pages);
-  /// Logs the page set; returns the LSN of the final (commit/prepare)
-  /// record so forced pages can be trailer-stamped with it. Registers the
-  /// transaction in the logging-txn table first (unregistered again on
-  /// error — nothing was forced). `page_lsns`, when non-null, receives the
-  /// kPageWrite record LSN of each page: the page's recLSN when forced.
+  /// Opens `txn_id`'s log chain unless it is open: registers the txn in the
+  /// logging-txn table, then appends the throttled kBegin — the only
+  /// admission point; every later record of the chain is unthrottled.
+  /// Returns the chain head (the newest record of the chain).
+  Result<Lsn> OpenChain(TxnId txn_id);
+  /// Appends `rec` to `txn_id`'s chain (opening it first if needed): links
+  /// prev_lsn to the chain head and makes the record the new head. The one
+  /// way a transaction's records enter the log, FPIs aside (they stay off
+  /// the chain). Index writes call it with the index latch held; it takes
+  /// rec_mutex_ (leaf) only.
+  Result<Lsn> AppendToChain(TxnId txn_id, LogRecord&& rec);
+  /// Logs the page set on the txn's chain, then the final record
+  /// (kCommit/kPrepare), flushed; returns the final record's LSN so forced
+  /// pages can be trailer-stamped with it. On error the chain is rolled
+  /// back and the txn unregistered (nothing was forced). `page_lsns`, when
+  /// non-null, receives the kPageWrite record LSN of each page: the page's
+  /// recLSN when forced.
   Result<Lsn> LogPageSet(TxnId txn_id, const std::vector<PageImage>& pages,
                          LogRecordType final_record,
                          std::vector<Lsn>* page_lsns = nullptr);
@@ -362,14 +376,18 @@ class Database {
   /// the next checkpoint's area sync retires the entries.
   Status ForcePages(const std::vector<PageImage>& pages, Lsn lsn,
                     const std::vector<Lsn>& page_lsns);
+  /// The commit close, after the flushed kCommit at `commit_lsn`: force the
+  /// page set, append kEnd, unregister. A failed force leaves the txn
+  /// registered, pinning its records for restart undo.
+  Status CloseCommit(TxnId txn_id, const std::vector<PageImage>& pages,
+                     Lsn commit_lsn, const std::vector<Lsn>& page_lsns);
   void UnregisterLoggingTxn(TxnId txn_id);
-  /// Closes an orphaned log chain (newest record `last_lsn`) with CLRs that
-  /// restore every before-image, then kEnd, flushed. Used when a commit/
-  /// prepare fails after records were appended: once the txn unregisters it
-  /// stops pinning the retention floor, and a partially-recycled chain would
-  /// brick restart undo. The CLRs (not a bare kAbort+kEnd) matter because
-  /// redo blindly replays after-images and kEnd suppresses restart undo.
-  Status AbortLoggedChain(TxnId txn_id, Lsn last_lsn);
+  /// Runtime abort of the txn's log chain, if it has one: the undo walker
+  /// (wal/recovery.h UndoChain) appends CLRs and a flushed kEnd, undoing
+  /// index records logically against the live trees; then the txn is
+  /// unregistered. Used by Abort, a failed commit/prepare, a failed
+  /// autocommit index write and AbortPrepared.
+  Status AbortLoggedChain(TxnId txn_id);
   /// Insert-or-lower a dirty-page-table entry (recLSN = min).
   void TouchDpt(uint64_t page_key, Lsn rec_lsn);
   void StartCheckpointThread();
@@ -384,10 +402,6 @@ class Database {
   /// Index-write epilogue: micro-commit (autocommit), or poison/abort the
   /// chain on failure.
   Status FinishIndexWrite(Txn* txn, TxnId id, bool autocommit, Status op);
-  /// Appends one kIndexPut/kIndexDelete to `txn_id`'s WAL chain, admitting
-  /// the transaction (throttled kBegin) on its first record. Called with
-  /// the index latch held; takes rec_mutex_ (leaf) only.
-  Result<Lsn> LogIndexRecord(TxnId txn_id, LogRecord&& rec);
   /// The txn's current undo-chain head, or kNullLsn when it never logged.
   Lsn TxnChainHead(TxnId txn_id);
   /// Hooks every area's read path up to WAL-based single-page repair.
@@ -462,7 +476,7 @@ class Database {
   // order: rec_mutex_ -> LogManager internals).
   struct LoggingTxn {
     Lsn first_lsn = kNullLsn;  ///< at/below the txn's first record
-    Lsn last_lsn = kNullLsn;   ///< newest kPageWrite (undo chain head)
+    Lsn last_lsn = kNullLsn;   ///< newest chain record (undo chain head)
     /// Oldest retained-log FPI this txn decided to rely on instead of
     /// relogging one (kNullLsn = none). Checkpoint folds these into its
     /// segment-release floor so the relied-on base image can't be recycled

@@ -19,6 +19,12 @@ namespace {
 constexpr uint64_t kWakeTag = 0;
 constexpr uint64_t kListenerBit = 1ull << 63;
 
+// A read-paused connection whose outbound queue drains not one byte for
+// this long is presumed dead: its peer stopped reading while below the
+// hard cap, so neither the resume watermark nor the hard cap would ever
+// fire. Independent of idle reaping, which may be off.
+constexpr uint64_t kStalledConsumerMs = 2000;
+
 uint64_t MonotonicNs() {
   timespec ts;
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -248,6 +254,7 @@ void Reactor::EventLoop() {
     // request can still make this batch via on_message → Send.
     DrainOps();
     const uint64_t now = MonotonicNs();
+    if (!paused_.empty()) ReapStalledConsumers(now);
     if (wheel_granularity_ns_ > 0) RunTimers(now);
     if (opts_.watchdog_ms > 0) CheckWorkers(now);
   }
@@ -305,10 +312,14 @@ void Reactor::FlushConn(ConnId id) {
   Conn* c = FindConn(id);
   if (c == nullptr) return;
   if (!c->out.empty()) {
+    const size_t pending = c->out.pending_bytes();
     Status s = c->sock.TrySend(&c->out);
     if (!s.ok() && !s.IsWouldBlock()) {
       DestroyConn(id, /*invoke_on_close=*/true);
       return;
+    }
+    if (c->read_paused && c->out.pending_bytes() < pending) {
+      c->last_drain_ns = MonotonicNs();
     }
   }
   (void)EnforceSendCaps(id, c);
@@ -330,6 +341,8 @@ bool Reactor::EnforceSendCaps(ConnId id, Conn* c) {
       // Throttle: stop reading its requests. The peer keeps its socket
       // buffers; our kernel recv queue fills; the peer's sends block.
       c->read_paused = true;
+      c->last_drain_ns = MonotonicNs();
+      paused_.insert(id);
       BESS_COUNT("server.overload.slow_consumer.throttle");
     } else if (c->read_paused && pending < opts_.send_soft_cap_bytes / 2) {
       // Drained below the low watermark: resume. The paused stretch may
@@ -339,6 +352,32 @@ bool Reactor::EnforceSendCaps(ConnId id, Conn* c) {
     }
   }
   return true;
+}
+
+void Reactor::ReapStalledConsumers(uint64_t now_ns) {
+  std::vector<ConnId> stalled;
+  for (auto it = paused_.begin(); it != paused_.end();) {
+    Conn* c = FindConn(*it);
+    if (c == nullptr || !c->read_paused) {
+      it = paused_.erase(it);
+      continue;
+    }
+    if (now_ns - c->last_drain_ns >= kStalledConsumerMs * 1000000ull) {
+      stalled.push_back(*it);
+      it = paused_.erase(it);
+      continue;
+    }
+    ++it;
+  }
+  for (ConnId id : stalled) {
+    // Same policy and count as the hard cap: on_close runs the session's
+    // presumed-abort cleanup.
+    BESS_COUNT("server.overload.slow_consumer.disconnect");
+    BESS_ERROR("reactor: conn " << id << " disconnected, outbound queue "
+                                << "stalled " << kStalledConsumerMs
+                                << " ms while reads were paused");
+    DestroyConn(id, /*invoke_on_close=*/true);
+  }
 }
 
 void Reactor::ScheduleIdleCheck(ConnId id, uint64_t fire_at_ns) {

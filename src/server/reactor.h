@@ -22,11 +22,12 @@
 // Overload protection (DESIGN.md §12): each connection's outbound queue is
 // byte-capped — a slow consumer is first throttled (the reactor stops
 // reading its requests, letting kernel-buffer backpressure reach the peer)
-// and disconnected when the hard cap is crossed. A coarse lazy timer wheel
-// reaps idle and half-open connections: after idle_timeout_ms of silence
-// the reactor sends one probe frame (the server wires kMsgPing) and closes
-// the connection if the next period passes without traffic. A watchdog
-// flags workers stuck on one task longer than watchdog_ms.
+// and disconnected when the hard cap is crossed, or when its queue makes
+// no drain progress for kStalledConsumerMs while paused. A coarse lazy
+// timer wheel reaps idle and half-open connections: after idle_timeout_ms
+// of silence the reactor sends one probe frame (the server wires kMsgPing)
+// and closes the connection if the next period passes without traffic. A
+// watchdog flags workers stuck on one task longer than watchdog_ms.
 #ifndef BESS_SERVER_REACTOR_H_
 #define BESS_SERVER_REACTOR_H_
 
@@ -39,6 +40,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <condition_variable>
@@ -144,6 +146,9 @@ class Reactor {
     /// Slow-consumer throttle: reads are paused until the out queue drains
     /// below the low watermark (half the soft cap).
     bool read_paused = false;
+    /// While paused: monotonic ns of the pause or of the last outbound
+    /// drain progress since, whichever is later.
+    uint64_t last_drain_ns = 0;
     /// One idle probe per silent period; any activity re-arms it.
     bool probe_sent = false;
   };
@@ -164,6 +169,10 @@ class Reactor {
   /// Applies the outbound byte-cap policy after bytes were queued/flushed.
   /// Returns false if the connection was destroyed (hard cap).
   bool EnforceSendCaps(ConnId id, Conn* c);
+  /// Disconnects paused connections whose outbound queue made no drain
+  /// progress for kStalledConsumerMs: a peer that stopped reading can sit
+  /// between the low watermark and the hard cap forever otherwise.
+  void ReapStalledConsumers(uint64_t now_ns);
   void MarkActivity(Conn* c, uint64_t now_ns);
   /// Lazy timer wheel: entries are (re)filed by expiry bucket; a due entry
   /// whose connection saw traffic since is simply refiled at its real
@@ -181,6 +190,9 @@ class Reactor {
 
   // Event-thread-owned (no lock): live connections and listeners.
   std::unordered_map<ConnId, std::unique_ptr<Conn>> conns_;
+  /// Connections whose reads are paused (entries go stale lazily when a
+  /// connection resumes or closes).
+  std::unordered_set<ConnId> paused_;
   std::vector<std::unique_ptr<Listener>> listeners_;
 
   // Event-thread-owned timer wheel (coarse hashed buckets of ConnIds).

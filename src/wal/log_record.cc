@@ -40,11 +40,9 @@ void LogRecord::EncodeTo(std::string* out) const {
       }
       break;
     case LogRecordType::kCheckpoint:
-      PutFixed32(out, static_cast<uint32_t>(active_txns.size()));
-      for (const ActiveTxn& t : active_txns) {
-        PutFixed64(out, t.txn);
-        PutFixed64(out, t.last_lsn);
-      }
+      // Former active-transaction table, kept in the layout as an empty
+      // count so logs written either way decode the same.
+      PutFixed32(out, 0);
       PutFixed32(out, static_cast<uint32_t>(dirty_pages.size()));
       for (const DirtyPage& d : dirty_pages) {
         PutFixed64(out, d.page.Pack());
@@ -113,16 +111,13 @@ Result<LogRecord> LogRecord::DecodeFrom(Slice payload) {
       break;
     }
     case LogRecordType::kCheckpoint: {
+      // Legacy active-transaction entries (txn, last LSN): nothing reads
+      // them, so they are skipped.
       uint32_t nt = dec.GetFixed32();
       if (!dec.ok() || nt > 1u << 20) {
         return Status::Corruption("bad checkpoint record");
       }
-      for (uint32_t i = 0; i < nt; ++i) {
-        ActiveTxn t;
-        t.txn = dec.GetFixed64();
-        t.last_lsn = dec.GetFixed64();
-        rec.active_txns.push_back(t);
-      }
+      (void)dec.GetBytes(size_t{nt} * 16);
       uint32_t nd = dec.GetFixed32();
       if (!dec.ok() || nd > 1u << 20) {
         return Status::Corruption("bad checkpoint record");

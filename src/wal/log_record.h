@@ -27,11 +27,12 @@ inline constexpr Lsn kNullLsn = 0;  // offset 0 holds the log header
 enum class LogRecordType : uint8_t {
   kBegin = 1,
   kCommit,
-  kAbort,       ///< abort decided; undo follows
+  kAbort,       ///< no longer written (an abort is its CLRs + kEnd); older
+                ///< logs may carry it, and restart ignores it
   kEnd,         ///< transaction fully finished (undo complete if any)
   kPageWrite,   ///< physical before/after images of one page
   kClr,         ///< compensation: before-image applied during undo
-  kCheckpoint,  ///< fuzzy checkpoint: txn table + dirty page table
+  kCheckpoint,  ///< fuzzy checkpoint: dirty page table + redo floor
   kPrepare,     ///< 2PC phase 1: transaction is in doubt (presumed abort)
   kFullPageImage,  ///< full page image for media repair (DESIGN.md §7);
                    ///< redo applies it like kPageWrite, undo never sees it
@@ -62,12 +63,8 @@ struct LogRecord {
   std::string after;
   Lsn undo_next = kNullLsn;  ///< kClr: next record to undo
 
-  // kCheckpoint:
-  struct ActiveTxn {
-    TxnId txn;
-    Lsn last_lsn;
-  };
-  std::vector<ActiveTxn> active_txns;
+  // kCheckpoint (restart rebuilds the transaction table by scanning from
+  // the redo floor, so the record carries no transaction table):
   struct DirtyPage {
     PageAddr page;
     Lsn rec_lsn;

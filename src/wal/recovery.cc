@@ -51,12 +51,12 @@ Result<Lsn> RecoveryManager::RedoFloor(Lsn checkpoint_lsn) {
       floor = d.rec_lsn;
     }
   }
-  // The transaction table is rebuilt from the floor too, NOT seeded from
-  // cp.active_txns. The checkpoint is fuzzy: records appended between its
-  // snapshot and the append of the record itself — commit records
-  // included — are invisible to the snapshotted table, so seeding from it
-  // could resurrect an already-committed transaction as a loser and roll
-  // back an acknowledged commit. The floor lower-bounds every snapshotted
+  // The transaction table is rebuilt from the floor too; the checkpoint
+  // carries none. It is fuzzy: records appended between its snapshot and
+  // the append of the record itself — commit records included — would be
+  // invisible to a snapshotted table, so seeding from one could resurrect
+  // an already-committed transaction as a loser and roll back an
+  // acknowledged commit. The floor lower-bounds every registered
   // transaction's first record (it folds in their first LSNs), so scanning
   // from it sees each one's begin, writes and commit.
   return floor;
@@ -121,66 +121,58 @@ Status RecoveryManager::Undo() {
       continue;
     }
     stats_.loser_txns++;
-    // Walk the prev_lsn chain backwards, restoring before-images. CLRs
-    // from a previous (crashed) undo attempt are skipped via undo_next,
-    // so undo never undoes its own compensation. Appends here are exempt
-    // from log-full backpressure: recovery must complete even (especially)
-    // on a full log, and its records are what let the log shrink again.
-    Lsn cur = state.last_lsn;
-    while (cur != kNullLsn) {
-      BESS_ASSIGN_OR_RETURN(LogRecord rec, log_->ReadRecord(cur));
-      if (rec.type == LogRecordType::kClr) {
-        cur = rec.undo_next;
-        continue;
-      }
-      if (rec.type == LogRecordType::kIndexSmo) {
-        // Splits are redo-only nested top actions: structurally valid
-        // whether or not the enclosing transaction commits. Never reversed.
-        cur = rec.prev_lsn;
-        continue;
-      }
-      if (rec.type == LogRecordType::kIndexPut ||
-          rec.type == LogRecordType::kIndexDelete) {
-        stats_.undo_records++;
-        if (opts_.index_undo) {
-          Lsn new_tail = state.last_lsn;
-          BESS_RETURN_IF_ERROR(
-              opts_.index_undo(rec, state.last_lsn, &new_tail));
-          if (new_tail != state.last_lsn) {
-            state.last_lsn = new_tail;
-            stats_.clrs_written++;
-          }
-        }
-        cur = rec.prev_lsn;
-        continue;
-      }
-      if (rec.type == LogRecordType::kPageWrite) {
-        stats_.undo_records++;
-        if (!rec.before.empty()) {
-          BESS_RETURN_IF_ERROR(
-              sink_->WritePage(rec.page, rec.before.data(), kNullLsn));
-        }
-        LogRecord clr;
-        clr.type = LogRecordType::kClr;
-        clr.txn = txn;
-        clr.prev_lsn = state.last_lsn;
-        clr.page = rec.page;
-        clr.after = rec.before;  // the image the CLR (re)applies on redo
-        clr.undo_next = rec.prev_lsn;
-        BESS_ASSIGN_OR_RETURN(Lsn clr_lsn, log_->AppendUnthrottled(clr));
-        state.last_lsn = clr_lsn;
-        stats_.clrs_written++;
-      }
-      cur = rec.prev_lsn;
-    }
-    LogRecord end;
-    end.type = LogRecordType::kEnd;
-    end.txn = txn;
-    end.prev_lsn = state.last_lsn;
-    BESS_ASSIGN_OR_RETURN(Lsn end_lsn, log_->AppendUnthrottled(end));
-    BESS_RETURN_IF_ERROR(log_->Flush(end_lsn));
+    UndoCounts counts;
+    Status st = UndoChain(log_, txn, state.last_lsn, sink_, opts_.index_undo,
+                          &counts);
+    stats_.undo_records += counts.records;
+    stats_.clrs_written += counts.clrs;
+    BESS_RETURN_IF_ERROR(st);
   }
   return Status::OK();
+}
+
+Status UndoChain(LogManager* log, TxnId txn, Lsn last_lsn, PageSink* sink,
+                 const IndexUndo& index_undo, UndoCounts* counts) {
+  Lsn tail = last_lsn;  // newest record of the chain, CLRs included
+  Lsn undo_next = kNullLsn;
+  auto log_clr = [&](PageAddr page, const std::string& after) -> Result<Lsn> {
+    LogRecord clr;
+    clr.type = LogRecordType::kClr;
+    clr.txn = txn;
+    clr.prev_lsn = tail;
+    clr.page = page;
+    clr.after = after;  // the image the CLR (re)applies on redo
+    clr.undo_next = undo_next;
+    BESS_ASSIGN_OR_RETURN(tail, log->AppendUnthrottled(clr));
+    counts->clrs++;
+    return tail;
+  };
+  Lsn cur = last_lsn;
+  while (cur != kNullLsn) {
+    BESS_ASSIGN_OR_RETURN(LogRecord rec, log->ReadRecord(cur));
+    cur = rec.type == LogRecordType::kClr ? rec.undo_next : rec.prev_lsn;
+    undo_next = cur;
+    if (rec.type == LogRecordType::kPageWrite) {
+      counts->records++;
+      if (sink != nullptr && !rec.before.empty()) {
+        BESS_RETURN_IF_ERROR(
+            sink->WritePage(rec.page, rec.before.data(), kNullLsn));
+      }
+      BESS_RETURN_IF_ERROR(log_clr(rec.page, rec.before).status());
+    } else if (rec.type == LogRecordType::kIndexPut ||
+               rec.type == LogRecordType::kIndexDelete) {
+      counts->records++;
+      if (index_undo) BESS_RETURN_IF_ERROR(index_undo(rec, log_clr));
+    }
+    // Everything else (kBegin, kPrepare, kCommit, kIndexSmo, a skipped
+    // CLR) has nothing to undo.
+  }
+  LogRecord end;
+  end.type = LogRecordType::kEnd;
+  end.txn = txn;
+  end.prev_lsn = tail;
+  BESS_ASSIGN_OR_RETURN(Lsn end_lsn, log->AppendUnthrottled(end));
+  return log->Flush(end_lsn);
 }
 
 Status RepairPageFromLog(LogManager* log, uint16_t db, uint16_t area,

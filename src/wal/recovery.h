@@ -29,16 +29,55 @@ class PageSink {
   virtual Status Sync() = 0;
 };
 
+/// Appends the CLR compensating one logical undo step: takes the touched
+/// page and its post-undo image, returns the CLR's LSN.
+using ClrLogger =
+    std::function<Result<Lsn>(PageAddr page, const std::string& after)>;
+
+/// Logical undo of one kIndexPut/kIndexDelete (DESIGN.md §14): resolve the
+/// index's tree and reverse the operation on it — re-descending, since a
+/// split may have moved the key — logging the touched leaf through
+/// `log_clr` (BTreeIndex::UndoLogical does both).
+using IndexUndo =
+    std::function<Status(const LogRecord& rec, const ClrLogger& log_clr)>;
+
+/// What one UndoChain call did.
+struct UndoCounts {
+  uint64_t records = 0;  ///< page and index records undone
+  uint64_t clrs = 0;     ///< compensation records appended
+};
+
+/// The one undo walker, shared by runtime abort and restart undo: rolls
+/// back transaction `txn` whose newest chain record is `last_lsn`, then
+/// closes the chain with kEnd and flushes it.
+///
+/// Walks prev_lsn backwards. CLRs are skipped via undo_next, so undo never
+/// undoes its own compensation and a crash mid-undo resumes where it
+/// stopped; kIndexSmo is a redo-only nested top action and is never
+/// reversed. Each kPageWrite gets a CLR carrying its before-image, and each
+/// index record is handed to `index_undo` with a logger that appends its
+/// CLR (null `index_undo`: index records are skipped). `sink`, when
+/// non-null, receives the before-images: restart needs them because redo
+/// has just repeated history on disk; a runtime abort passes null because
+/// the transaction's object pages were never forced.
+///
+/// Why CLRs and not a bare kAbort+kEnd: restart redo blindly repeats
+/// history, so the chain's after-images land on disk again, and kEnd
+/// suppresses loser undo. The CLRs (re)apply the before-images on redo, so
+/// the closed chain nets out to the untouched state, and restart never
+/// needs records below whatever suffix of the chain is retained.
+///
+/// Appends bypass log-full backpressure: undo must complete on a full log,
+/// and its records are what let the log shrink again. `counts` is updated
+/// as records are written, so it is accurate on error too.
+Status UndoChain(LogManager* log, TxnId txn, Lsn last_lsn, PageSink* sink,
+                 const IndexUndo& index_undo, UndoCounts* counts);
+
 struct RecoveryOptions {
-  /// Logical undo hook for index records (DESIGN.md §14). Called during the
-  /// undo pass for each loser kIndexPut/kIndexDelete: the callback must
-  /// reverse the logical operation against the *recovered* tree (re-descend;
-  /// a split may have moved the key) and append a CLR whose prev_lsn is
-  /// `chain_tail` and whose undo_next is the record's prev_lsn, returning
-  /// the CLR's LSN in *new_tail. When null, index records are skipped (the
-  /// caller has no live trees — tests exercising only object pages).
-  std::function<Status(const LogRecord& rec, Lsn chain_tail, Lsn* new_tail)>
-      index_undo;
+  /// Logical undo of loser index records against the *recovered* trees.
+  /// When null, index records are skipped (the caller has no live trees —
+  /// tests exercising only object pages).
+  IndexUndo index_undo;
 };
 
 struct RecoveryStats {

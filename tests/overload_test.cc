@@ -264,6 +264,44 @@ TEST_F(OverloadTest, SlowConsumerIsThrottledThenDisconnected) {
   c.Close();
 }
 
+// A consumer that stops both reading and sending right after its reads are
+// paused leaves the outbound queue between the low watermark and the hard
+// cap: neither resume nor the hard cap can fire. The reactor disconnects it
+// once the queue has drained nothing for a while, with idle reaping off.
+TEST_F(OverloadTest, StalledSlowConsumerIsDisconnectedBetweenCaps) {
+#if BESS_METRICS_ENABLED
+  BessServer::Options o;
+  o.worker_threads = 2;
+  o.send_soft_cap_bytes = 16 << 10;
+  o.send_hard_cap_bytes = 64 << 10;
+  StartServer(o);
+
+  const ::bess::Stats before = Snapshot();
+  auto throttled = [&] {
+    return StatsDelta(before, Snapshot())
+               .counter("server.overload.slow_consumer.throttle") >= 1;
+  };
+  MsgSocket c = ConnectRaw();
+  const std::string big(8 << 10, 'z');  // 8KB echoes, never read back
+  // One request at a time, each given time to be echoed, so that when the
+  // reads pause at most a request or two is in flight: far from the hard
+  // cap, which would otherwise end the test for the wrong reason.
+  for (int i = 0; i < 400 && !throttled(); ++i) {
+    ASSERT_TRUE(c.Send(kMsgPing, big, static_cast<uint64_t>(i) + 1).ok());
+    WaitFor(throttled, 20);
+  }
+  ASSERT_TRUE(throttled());
+  EXPECT_TRUE(WaitFor([&] { return server_->live_sessions() == 0; }, 10000))
+      << "stalled consumer between the caps was never disconnected";
+  EXPECT_GE(StatsDelta(before, Snapshot())
+                .counter("server.overload.slow_consumer.disconnect"),
+            1u);
+  c.Close();
+#else
+  GTEST_SKIP() << "needs the global slow-consumer counters";
+#endif
+}
+
 // Idle reaping: a session that answers the server's ping probe survives;
 // one that goes silent is probed once and then closed; a connection that
 // never even says Hello (half-open) is reaped the same way.

@@ -337,6 +337,39 @@ TEST_F(WalTest, CheckpointBoundsAnalysis) {
   EXPECT_EQ(rec.stats().loser_txns, 1u);
 }
 
+// Checkpoints used to carry an active-transaction table (count, then
+// txn + last LSN per entry). They now write an empty count; a record from
+// an older log, entries and all, must still decode to the same dirty-page
+// table and redo floor.
+TEST(LogRecordTest, LegacyCheckpointTxnTableIsSkipped) {
+  LogRecord cp;
+  cp.type = LogRecordType::kCheckpoint;
+  cp.dirty_pages.push_back({PageAddr{1, 2, 3}, 77});
+  cp.redo_floor = 55;
+  std::string now;
+  cp.EncodeTo(&now);
+  constexpr size_t kCountAt = 1 + 8 + 8;  // type, txn, prev_lsn
+  ASSERT_EQ(now.substr(kCountAt, 4), std::string(4, '\0'));
+
+  std::string legacy = now.substr(0, kCountAt);
+  PutFixed32(&legacy, 2);
+  for (uint64_t v : {9, 100, 10, 200}) PutFixed64(&legacy, v);
+  legacy += now.substr(kCountAt + 4);
+
+  for (const std::string& payload : {now, legacy}) {
+    auto back = LogRecord::DecodeFrom(payload);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back->dirty_pages.size(), 1u);
+    EXPECT_EQ(back->dirty_pages[0].page.Pack(), (PageAddr{1, 2, 3}.Pack()));
+    EXPECT_EQ(back->dirty_pages[0].rec_lsn, 77u);
+    EXPECT_EQ(back->redo_floor, 55u);
+  }
+  // A count promising more entries than the record holds is corruption.
+  std::string truncated = now.substr(0, kCountAt);
+  PutFixed32(&truncated, 3);
+  EXPECT_FALSE(LogRecord::DecodeFrom(truncated).ok());
+}
+
 TEST_F(WalTest, GroupCommitCoalescesSyncs) {
   auto logr = LogManager::Open(path_);
   ASSERT_TRUE(logr.ok());
